@@ -2,7 +2,8 @@
 
 The library evaluates two inequality criteria on multipartite density
 matrices using factorized single-copy traces (no two-copy state is ever
-assembled on the production path), reproduces the GHZ and qudit-W
+assembled on the production path, and pure states and white noise are
+never expanded to D x D matrices), reproduces the GHZ and qudit-W
 white-noise detection thresholds, and ships a doubled-space oracle that
 validates the factorization at small dimension.
 """
@@ -42,9 +43,11 @@ from .tensor import (
     ProductOperator,
     PureState,
     SiteDims,
+    WhiteNoise,
     assemble,
     cross_trace,
     kron,
+    pair_reduced,
     product_trace,
     qubits,
     qudits,

@@ -249,15 +249,17 @@ def cmd_oracle_check(args) -> int:
     return 0 if result["passed"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; `defaults` (from ``--config``) are set on every
+    subcommand, below any flag given on the command line."""
     parser = argparse.ArgumentParser(
         prog="kunent",
         description="Detect multipartite states containing fewer than k unentangled particles.",
     )
     parser.add_argument(
         "--config",
-        help="JSON file with default values for any flag (flag names with dashes "
-        "replaced by underscores)",
+        help="JSON object of default values for the subcommand's flags (flag names "
+        "with dashes replaced by underscores); an unknown key is an error (exit 2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,51 +285,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--json", action="store_true", help="JSON output (default)")
     p_eval.add_argument("--csv", action="store_true", help="CSV output")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(**(defaults or {}), func=cmd_eval)
 
     p_t1 = sub.add_parser("table1", help="GHZ noise-family threshold table")
     p_t1.add_argument("--n", type=int, default=8)
-    p_t1.set_defaults(func=cmd_table1)
+    p_t1.set_defaults(**(defaults or {}), func=cmd_table1)
 
     p_f1 = sub.add_parser("fig1", help="W noise-family boundary scan CSV")
     p_f1.add_argument("--n", type=int, default=5)
     p_f1.add_argument("--d", type=int, default=4)
     p_f1.add_argument("--grid", type=int, default=200)
     p_f1.add_argument("--probe", choices=("w", "wtilde"), default="w")
-    p_f1.set_defaults(func=cmd_fig1)
+    p_f1.set_defaults(**(defaults or {}), func=cmd_fig1)
 
     p_oc = sub.add_parser("oracle-check", help="doubled-space equivalence report")
     p_oc.add_argument("--trials", type=int, default=50)
     p_oc.add_argument("--seed", type=int, default=0)
-    p_oc.set_defaults(func=cmd_oracle_check)
+    p_oc.set_defaults(**(defaults or {}), func=cmd_oracle_check)
     return parser
 
 
+def _read_config(path: str, known: set[str]) -> dict:
+    """Flag defaults from a JSON object; every key must name a flag of the
+    chosen subcommand (dashes replaced by underscores)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise InputError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise InputError(
+            f"config {path} has unknown keys {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(known))})"
+        )
+    return defaults
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
+    args = build_parser().parse_args(argv)
+    if args.config:
+        # the subcommand's own flags are the keys of its parsed namespace
+        known = set(vars(args)) - {"config", "command", "func"}
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            defaults = _read_config(args.config, known)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(defaults, dict):
-            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
-            return 2
-        parser.set_defaults(**defaults)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub_parser in action.choices.values():
-                    sub_parser.set_defaults(
-                        **{
-                            key: value
-                            for key, value in defaults.items()
-                            if any(a.dest == key for a in sub_parser._actions)
-                        }
-                    )
-    args = parser.parse_args(argv)
+        args = build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

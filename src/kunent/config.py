@@ -30,8 +30,10 @@ class Tolerances:
 
     hermiticity/trace/psd/norm guard state validation; ``equality`` is the
     bound for exact-identity assertions between two computed quantities;
-    ``detection`` is the absolute margin above which a criterion reports a
-    violation.
+    ``detection`` is the absolute part of the certificate rule: a criterion
+    reports a violation when its margin exceeds ``detection`` plus the
+    rounding allowance ``summation_gamma(m) * scale`` (see
+    `kunent.criteria.certified`).
     """
 
     hermiticity: float = 1e-10
@@ -43,6 +45,19 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+#: Unit roundoff of IEEE binary64 arithmetic.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def summation_gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), the relative error bound of a sum of m
+    floating-point terms (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3)."""
+    mu = m * UNIT_ROUNDOFF
+    if not 0 <= mu < 1:
+        raise ValueError(f"no rounding bound for a sum of {m} terms")
+    return mu / (1.0 - mu)
 
 
 def dim_cap() -> int:

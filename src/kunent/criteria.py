@@ -47,16 +47,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SUBSET_BUDGET
+from .config import DEFAULT_TOLERANCES, SUBSET_BUDGET, summation_gamma
 from .tensor import (
     DensityMatrix,
     ProductOperator,
     SiteDims,
+    State,
     cross_trace,
+    pair_reduced,
     sandwich_trace,
     subset_trace_sweep,
 )
@@ -64,6 +67,8 @@ from .tensor import (
 __all__ = [
     "PermutationAction",
     "CriterionReport",
+    "Margins",
+    "certified",
     "swap_on_subset",
     "site_substituted_operator",
     "theorem1_term",
@@ -189,8 +194,22 @@ def theorem1_term(
 # --------------------------------------------------------------------------
 # Trace bundles: every quantity a criterion needs, as plain arrays that are
 # linear in rho.  Evaluating a criterion along a noise family then reduces
-# to affine combinations of per-component bundles (see `thresholds`).
+# to weighted sums of per-component bundles (see `thresholds`).  A bundle's
+# fields may carry a leading batch axis, one entry per mixture (`combine`);
+# each theorem has one vectorised margin formula (`margins`) that serves a
+# whole batch and the single-bundle `report` alike.
 # --------------------------------------------------------------------------
+
+
+def _mix(bundles: Sequence, weights, name: str, ndim: int):
+    """sum_c weights[..., c] * bundles[c].name, added left to right.
+
+    `ndim` is the rank of the field in one bundle; the weights' leading
+    axes (none for one mixture, (B,) for a batch) lead the result.
+    """
+    w = np.asarray(weights, dtype=float)
+    pad = (...,) + (None,) * ndim
+    return sum(w[..., c][pad] * getattr(b, name) for c, b in enumerate(bundles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +218,16 @@ class Theorem1Traces:
     where W_mask carries y-factors on the sites whose bit is set."""
 
     n: int
-    cross: complex
+    cross: complex | np.ndarray
     subset: np.ndarray
 
     @staticmethod
-    def combine(bundles: Sequence["Theorem1Traces"], weights: Sequence[float]) -> "Theorem1Traces":
-        n = bundles[0].n
-        cross = sum(w * b.cross for w, b in zip(weights, bundles))
-        subset = sum(w * b.subset for w, b in zip(weights, bundles))
-        return Theorem1Traces(n, complex(cross), np.asarray(subset))
+    def combine(bundles: Sequence["Theorem1Traces"], weights) -> "Theorem1Traces":
+        """Bundle of the mixture with one weight per bundle, or of each row
+        of a (B, len(bundles)) batch of weights."""
+        return Theorem1Traces(
+            bundles[0].n, _mix(bundles, weights, "cross", 0), _mix(bundles, weights, "subset", 1)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,18 +245,88 @@ class Theorem2Traces:
     cross: np.ndarray
     pair: np.ndarray
     site: np.ndarray
-    base: float
+    base: float | np.ndarray
 
     @staticmethod
-    def combine(bundles: Sequence["Theorem2Traces"], weights: Sequence[float]) -> "Theorem2Traces":
+    def combine(bundles: Sequence["Theorem2Traces"], weights) -> "Theorem2Traces":
+        """Bundle of the mixture with one weight per bundle, or of each row
+        of a (B, len(bundles)) batch of weights."""
         first = bundles[0]
-        acc = {
-            name: sum(w * getattr(b, name) for w, b in zip(weights, bundles))
-            for name in ("cross", "pair", "site", "base")
-        }
         return Theorem2Traces(
-            first.n, first.n_omega, acc["cross"], acc["pair"], acc["site"], float(acc["base"])
+            first.n,
+            first.n_omega,
+            _mix(bundles, weights, "cross", 4),
+            _mix(bundles, weights, "pair", 4),
+            _mix(bundles, weights, "site", 2),
+            _mix(bundles, weights, "base", 0),
         )
+
+
+class Margins(NamedTuple):
+    """Criterion values over a batch of bundles, one entry per bundle (0-d
+    arrays for a single bundle).  `lhs` and `rhs` are the sides a
+    `CriterionReport` shows, `margin` is scaled lhs minus rhs, and
+    `detected` is the certificate rule applied to it (`certified`)."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    detected: np.ndarray
+
+
+def certified(margin, scale, terms: int, dim: int):
+    """The certificate rule: margin > detection + gamma_m * scale.
+
+    `scale` is the larger of the two compared sides (T1 compares its lhs
+    scaled by 2^{k+1} - 2).  gamma_m (`config.summation_gamma`) bounds the
+    relative rounding error of a sum of m = terms + dim values: the
+    criterion sums `terms` terms, each built from traces over a
+    `dim`-dimensional space.  A margin that rounding alone could produce
+    certifies nothing, whatever the probe norms or N: where the criterion
+    holds with equality (x = y at k = N-1 makes T1 an identity), rounding
+    crosses any absolute tolerance once the probe norms are large.
+    """
+    gamma = summation_gamma(terms + dim)
+    return margin > DEFAULT_TOLERANCES.detection + gamma * scale
+
+
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+
+
+def _tuple_orders(n: int, big_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the T^2 n(n-1) off-diagonal (i != j) entries of a
+    (T, T, n, n) block, in two orders: (s, t, i, j), the order a report
+    lists them, and with the (i, j) pair outermost, the order it sums
+    them.  The second is the memory order of a boolean-indexed block,
+    which a whole-block np.sum follows; reports have always summed so,
+    and printed values keep their bits."""
+    flat = np.arange(big_t * big_t * n * n).reshape(big_t, big_t, n, n)
+    flat = flat[..., ~np.eye(n, dtype=bool)]
+    return flat.reshape(-1), np.moveaxis(flat, -1, 0).reshape(-1)
+
+
+@lru_cache(maxsize=64)
+def _subset_labels(n: int) -> tuple[str, ...]:
+    """Labels alpha={sites} of the nonempty proper subsets, in mask order."""
+    return tuple(
+        "alpha={" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+        for mask in range(1, (1 << n) - 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def _tuple_tags(n: int, big_t: int) -> tuple[str, ...]:
+    """Labels of the (s, t, i, j) tuples, i != j, in the order listed."""
+    return tuple(
+        f"s={s + 1},t={t + 1},i={i + 1},j={j + 1}"
+        for s in range(big_t)
+        for t in range(big_t)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
 
 
 class Theorem1Evaluator:
@@ -256,7 +346,8 @@ class Theorem1Evaluator:
         self.dims = x.dims
         self.degenerate = x.is_zero() or y.is_zero()
 
-    def traces(self, rho: DensityMatrix) -> Theorem1Traces:
+    def traces(self, rho: State) -> Theorem1Traces:
+        """Bundle of a dense, pure or white-noise state (`tensor.State`)."""
         pairs = [
             (fx @ fx.conj().T, fy @ fy.conj().T)
             for fx, fy in zip(self.x.factors, self.y.factors)
@@ -264,56 +355,46 @@ class Theorem1Evaluator:
         subset = subset_trace_sweep(rho, pairs).real
         return Theorem1Traces(self.dims.n, cross_trace(rho, self.x, self.y), subset)
 
-    def report(self, traces: Theorem1Traces, k: int, include_terms: bool = True) -> CriterionReport:
+    def _evaluate(self, traces: Theorem1Traces, k: int) -> tuple[Margins, np.ndarray]:
         n = traces.n
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+        _check_k(n, k)
         full = (1 << n) - 1
         clamped = np.maximum(traces.subset, 0.0)
-        lhs = abs(traces.cross)
-        terms = []
-        rhs = 0.0
-        for mask in range(1, full):
-            term = float(np.sqrt(clamped[mask] * clamped[full ^ mask]))
-            rhs += term
-            if include_terms:
-                sites = "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
-                terms.append((f"alpha={sites}", term))
-        margin = (2 ** (k + 1) - 2) * lhs - rhs
+        # term of mask m (1 <= m < full) pairs subset[m] with its complement
+        terms = np.sqrt(clamped[..., 1:full] * clamped[..., full - 1:0:-1])
+        # np.hypot gives the bits of abs() on a Python complex; np.abs differs
+        lhs = np.hypot(np.real(traces.cross), np.imag(traces.cross))
+        # a running sum adds the terms in mask order, one at a time; np.sum
+        # adds pairwise and would move the last bits of every margin
+        rhs = np.cumsum(terms, axis=-1)[..., -1]
+        scaled = (2 ** (k + 1) - 2) * lhs
+        margin = scaled - rhs
+        detected = certified(margin, np.maximum(scaled, rhs), full - 1, self.dims.total_dim)
+        return Margins(lhs, rhs, margin, detected), terms
+
+    def margins(self, traces: Theorem1Traces, k: int) -> Margins:
+        return self._evaluate(traces, k)[0]
+
+    def report(self, traces: Theorem1Traces, k: int, include_terms: bool = True) -> CriterionReport:
+        m, terms = self._evaluate(traces, k)
+        labelled = ()
+        if include_terms:
+            labelled = tuple(zip(_subset_labels(traces.n), terms.tolist()))
         return CriterionReport(
             theorem=self.theorem,
             k=k,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            margin=float(margin),
-            detected=bool(margin > DEFAULT_TOLERANCES.detection),
-            terms=tuple(terms),
+            lhs=float(m.lhs),
+            rhs=float(m.rhs),
+            margin=float(m.margin),
+            detected=bool(m.detected),
+            terms=labelled,
             degenerate=self.degenerate,
         )
 
-    def evaluate(self, rho: DensityMatrix, k: int) -> CriterionReport:
+    def evaluate(self, rho: State, k: int) -> CriterionReport:
         if rho.dims.dims != self.dims.dims:
             raise ValueError("state dims do not match probe dims")
         return self.report(self.traces(rho), k)
-
-
-def _pair_reduced(rho_t: np.ndarray, dims: tuple[int, ...], i: int, j: int,
-                  baseline: Sequence[np.ndarray]) -> np.ndarray:
-    """rho contracted with baseline factors at every site except i < j.
-
-    Returns the (d_i*d_j, d_i*d_j) block R with Tr[rho (.. g_i .. g_j ..)]
-    = Tr[R (g_i x g_j)] for any kept-site factors.
-    """
-    n = len(dims)
-    rest = [m for m in range(n) if m not in (i, j)]
-    u_rest = np.array([[1.0 + 0.0j]])
-    for m in rest:
-        u_rest = np.kron(u_rest, baseline[m])
-    perm = [i, j, *rest]
-    rho_p = np.transpose(rho_t, perm + [n + p for p in perm])
-    kept = dims[i] * dims[j]
-    rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
-    return np.einsum("arbs,sr->ab", rho_p, u_rest)
 
 
 class Theorem2Evaluator:
@@ -341,18 +422,19 @@ class Theorem2Evaluator:
         self.dims = x.dims
         self.d = d
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
+        self._listed, self._summed = _tuple_orders(x.dims.n, len(self.omegas))
 
-    def traces(self, rho: DensityMatrix) -> Theorem2Traces:
+    def traces(self, rho: State) -> Theorem2Traces:
+        """Bundle of a dense, pure or white-noise state (`tensor.State`)."""
         if rho.dims.dims != self.dims.dims:
             raise ValueError("state dims do not match probe dims")
         n, d, big_t = self.dims.n, self.d, len(self.omegas)
         xs = self.x.factors
         baseline = [f @ f.conj().T for f in xs]
         omega_proj = [w @ w.conj().T for w in self.omegas]
-        rho_t = rho.mat.reshape(self.dims.dims * 2)
 
         reduced: dict[tuple[int, int], np.ndarray] = {
-            (i, j): _pair_reduced(rho_t, self.dims.dims, i, j, baseline)
+            (i, j): pair_reduced(rho, i, j, baseline)
             for i in range(n)
             for j in range(i + 1, n)
         }
@@ -399,55 +481,63 @@ class Theorem2Evaluator:
                 base = float(np.einsum("ab,ba->", r_i, baseline[i]).real)
         return Theorem2Traces(n, big_t, cross, pair, site, base)
 
-    def report(self, traces: Theorem2Traces, k: int, include_terms: bool = True) -> CriterionReport:
+    def _evaluate(self, traces: Theorem2Traces, k: int):
+        """Margins, plus the rhs pair and site sums a report lists."""
         n, big_t = traces.n, traces.n_omega
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-        base = max(traces.base, 0.0)
-        pair = np.maximum(traces.pair, 0.0)
-        site = np.maximum(traces.site, 0.0)
-        off = ~np.eye(n, dtype=bool)
-
-        lhs_terms = np.abs(traces.cross)[:, :, off]
-        rhs_pair_terms = np.sqrt(base * pair[:, :, off])
-        lhs = float(np.sum(lhs_terms))
-        rhs_pairs = float(np.sum(rhs_pair_terms))
-        rhs_sites = big_t * (n - k - 1) * float(np.sum(site))
+        _check_k(n, k)
+        # one row per bundle, gathered contiguous: np.sum adds each row
+        # pairwise, as it adds a lone bundle
+        flat = (*np.shape(traces.base), -1)
+        base = np.maximum(traces.base, 0.0)
+        cross_terms = np.abs(traces.cross).reshape(flat).take(self._summed, axis=-1)
+        pair = np.maximum(traces.pair, 0.0).reshape(flat).take(self._summed, axis=-1)
+        lhs = np.sum(cross_terms, axis=-1)
+        rhs_pairs = np.sum(np.sqrt(base[..., None] * pair), axis=-1)
+        site_sum = np.sum(np.maximum(traces.site, 0.0).reshape(flat), axis=-1)
+        rhs_sites = big_t * (n - k - 1) * site_sum
         rhs = rhs_pairs + rhs_sites
         margin = lhs - rhs
+        n_terms = big_t * big_t * n * (n - 1) + big_t * n
+        detected = certified(margin, np.maximum(lhs, rhs), n_terms, self.dims.total_dim)
+        return Margins(lhs, rhs, margin, detected), rhs_pairs, rhs_sites
 
+    def margins(self, traces: Theorem2Traces, k: int) -> Margins:
+        return self._evaluate(traces, k)[0]
+
+    def report(self, traces: Theorem2Traces, k: int, include_terms: bool = True) -> CriterionReport:
+        m, rhs_pairs, rhs_sites = self._evaluate(traces, k)
         terms: list[tuple[str, float]] = []
         if include_terms:
+            n, big_t = traces.n, traces.n_omega
+            base = max(float(traces.base), 0.0)
+            site = np.maximum(traces.site, 0.0)
+            cross_terms = np.abs(traces.cross).reshape(-1).take(self._listed)
+            pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(self._listed))
             terms = [
-                ("lhs_sum", lhs),
-                ("rhs_pair_sum", rhs_pairs),
-                ("rhs_site_sum", rhs_sites),
+                ("lhs_sum", float(m.lhs)),
+                ("rhs_pair_sum", float(rhs_pairs)),
+                ("rhs_site_sum", float(rhs_sites)),
                 ("base", base),
             ]
-            for s in range(big_t):
-                for t in range(big_t):
-                    for i in range(n):
-                        for j in range(n):
-                            if i == j:
-                                continue
-                            tag = f"s={s + 1},t={t + 1},i={i + 1},j={j + 1}"
-                            terms.append((f"cross[{tag}]", float(np.abs(traces.cross[s, t, i, j]))))
-                            terms.append((f"pair[{tag}]", float(np.sqrt(base * pair[s, t, i, j]))))
+            tags = _tuple_tags(n, big_t)
+            for tag, c, p in zip(tags, cross_terms.tolist(), pair_terms.tolist()):
+                terms.append((f"cross[{tag}]", c))
+                terms.append((f"pair[{tag}]", p))
             for s in range(big_t):
                 for i in range(n):
                     terms.append((f"site[s={s + 1},i={i + 1}]", float(site[s, i])))
         return CriterionReport(
             theorem=self.theorem,
             k=k,
-            lhs=lhs,
-            rhs=rhs,
-            margin=float(margin),
-            detected=bool(margin > DEFAULT_TOLERANCES.detection),
+            lhs=float(m.lhs),
+            rhs=float(m.rhs),
+            margin=float(m.margin),
+            detected=bool(m.detected),
             terms=tuple(terms),
             degenerate=self.degenerate,
         )
 
-    def evaluate(self, rho: DensityMatrix, k: int) -> CriterionReport:
+    def evaluate(self, rho: State, k: int) -> CriterionReport:
         return self.report(self.traces(rho), k)
 
 
@@ -469,55 +559,58 @@ class Theorem2K1Evaluator:
         self.dims = self._inner.dims
         self.degenerate = self._inner.degenerate
 
-    def traces(self, rho: DensityMatrix) -> Theorem2Traces:
+    def traces(self, rho: State) -> Theorem2Traces:
         return self._inner.traces(rho)
 
-    def report(self, traces: Theorem2Traces, k: int = 1, include_terms: bool = True) -> CriterionReport:
+    def _evaluate(self, traces: Theorem2Traces, k: int) -> tuple[Margins, np.ndarray]:
+        """Margins plus every tuple margin |cross|^2 - base * pair."""
         if k != 1:
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k}")
-        n, big_t = traces.n, traces.n_omega
-        base = max(traces.base, 0.0)
-        pair = np.maximum(traces.pair, 0.0)
-        tuple_margins = np.abs(traces.cross) ** 2 - base * pair
+        flat = (*np.shape(traces.base), -1)
+        listed = self._inner._listed
+        base = np.maximum(traces.base, 0.0)
+        lhs = (np.abs(traces.cross) ** 2).reshape(flat).take(listed, axis=-1)
+        rhs = base[..., None] * np.maximum(traces.pair, 0.0).reshape(flat).take(listed, axis=-1)
+        tuples = lhs - rhs
+        # witness: the first largest tuple margin; lhs/rhs are reported for it
+        best = np.argmax(tuples, axis=-1)[..., None]
+        lhs_w, rhs_w, margin = (
+            np.take_along_axis(a, best, axis=-1)[..., 0] for a in (lhs, rhs, tuples)
+        )
+        scale = np.maximum(lhs_w, rhs_w)
+        if self.aggregation == "sum":
+            # added one at a time in tuple order
+            margin = np.cumsum(tuples, axis=-1)[..., -1]
+            scale = np.maximum(np.sum(lhs, axis=-1), np.sum(rhs, axis=-1))
+        detected = certified(margin, scale, lhs.shape[-1], self.dims.total_dim)
+        return Margins(lhs_w, rhs_w, margin, detected), tuples
 
-        best_val = -np.inf
-        best_idx = (0, 0, 0, 1)
-        total = 0.0
-        terms: list[tuple[str, float]] = []
-        for s in range(big_t):
-            for t in range(big_t):
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            continue
-                        m = float(tuple_margins[s, t, i, j])
-                        if include_terms:
-                            tag = f"s={s + 1},t={t + 1},i={i + 1},j={j + 1}"
-                            terms.append((f"margin[{tag}]", m))
-                        total += m
-                        if m > best_val:
-                            best_val, best_idx = m, (s, t, i, j)
-        margin = total if self.aggregation == "sum" else best_val
-        s, t, i, j = best_idx
-        witness_tag = f"s={s + 1},t={t + 1},i={i + 1},j={j + 1}"
+    def margins(self, traces: Theorem2Traces, k: int = 1) -> Margins:
+        return self._evaluate(traces, k)[0]
+
+    def report(self, traces: Theorem2Traces, k: int = 1, include_terms: bool = True) -> CriterionReport:
+        m, tuples = self._evaluate(traces, k)
+        tags = _tuple_tags(traces.n, traces.n_omega)
         if self.aggregation == "max":
-            witness_terms = [(f"max_margin[{witness_tag}]", float(best_val))]
+            witness = tags[int(np.argmax(tuples))]
+            witness_terms = [(f"max_margin[{witness}]", float(m.margin))]
         else:
-            witness_terms = [("sum_margin", float(total))]
-        lhs = float(np.abs(traces.cross[s, t, i, j]) ** 2)
-        rhs = float(base * pair[s, t, i, j])
+            witness_terms = [("sum_margin", float(m.margin))]
+        terms = []
+        if include_terms:
+            terms = [(f"margin[{tag}]", v) for tag, v in zip(tags, tuples.tolist())]
         return CriterionReport(
             theorem=self.theorem,
             k=1,
-            lhs=lhs,
-            rhs=rhs,
-            margin=float(margin),
-            detected=bool(margin > DEFAULT_TOLERANCES.detection),
+            lhs=float(m.lhs),
+            rhs=float(m.rhs),
+            margin=float(m.margin),
+            detected=bool(m.detected),
             terms=tuple(witness_terms + terms),
             degenerate=self.degenerate,
         )
 
-    def evaluate(self, rho: DensityMatrix, k: int = 1) -> CriterionReport:
+    def evaluate(self, rho: State, k: int = 1) -> CriterionReport:
         return self.report(self.traces(rho), k)
 
 

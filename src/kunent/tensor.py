@@ -1,20 +1,25 @@
-"""Dense complex linear algebra over composite Hilbert spaces.
+"""Complex linear algebra over composite Hilbert spaces.
 
 Conventions
 -----------
 - Sites are numbered 1..N.  Site 1 is the *leftmost* (most significant)
   Kronecker factor: the basis index of |b_1 .. b_N> is
   sum_i b_i * prod_{j>i} d_j.
-- Everything is dense complex128.  The total dimension D = prod(d_i) is
-  rejected above a configurable cap (default 4096, env ``KUNENT_DIM_CAP``).
+- A state is held in one of three complex128 representations: a dense
+  `DensityMatrix` (D x D), a `PureState` (its D amplitudes) or
+  `WhiteNoise` (I/D, held by its dimensions alone).  The total dimension
+  D = prod(d_i) is rejected above a configurable cap (default 4096, env
+  ``KUNENT_DIM_CAP``).
 - All container types are immutable after construction; the wrapped numpy
   arrays are defensive copies marked read-only.
 
 The trace kernels at the bottom (`sandwich_trace`, `cross_trace`,
-`product_trace`, `subset_trace_sweep`) evaluate every expectation needed by
-the detection criteria on a *single* copy of rho: the operator side is kept
+`product_trace`, `subset_trace_sweep`, `pair_reduced`) evaluate every
+expectation needed by the detection criteria on a *single* copy of the
+state, for each of the three representations: the operator side is kept
 in product form and contracted site by site, so neither a two-copy state
-nor (for the kernels) even the assembled N-site operator is ever built.
+nor the assembled N-site operator is ever built, and a pure state or white
+noise is never expanded to a D x D matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,6 +38,7 @@ __all__ = [
     "ProductOperator",
     "DensityMatrix",
     "PureState",
+    "WhiteNoise",
     "qubits",
     "qudits",
     "kron",
@@ -41,6 +47,7 @@ __all__ = [
     "sandwich_trace",
     "cross_trace",
     "subset_trace_sweep",
+    "pair_reduced",
 ]
 
 
@@ -200,6 +207,20 @@ class DensityMatrix:
                 raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
 
+@dataclass(frozen=True)
+class WhiteNoise:
+    """The maximally mixed state I/D, held by its dimensions alone.
+
+    Every trace against a product operator factorizes, Tr[(g_1 x..x g_N)/D]
+    = prod_i tr(g_i) / D, so no D x D matrix is needed.
+    """
+
+    dims: SiteDims
+
+
+State = Union[DensityMatrix, PureState, WhiteNoise]
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the configured size cap enforced."""
     a = np.asarray(a, dtype=complex)
@@ -217,7 +238,7 @@ def assemble(op: ProductOperator) -> np.ndarray:
     return reduce(np.kron, op.factors)
 
 
-def _check_dims(rho: DensityMatrix, *ops: ProductOperator) -> None:
+def _check_dims(rho: State, *ops: ProductOperator) -> None:
     for op in ops:
         if op.dims.dims != rho.dims.dims:
             raise ValueError(
@@ -237,21 +258,53 @@ def _contract_leading_site(mat: np.ndarray, d: int, g: np.ndarray) -> np.ndarray
     return np.einsum("arbs,ba->rs", view, g)
 
 
-def product_trace(rho: DensityMatrix, factors: Sequence[np.ndarray]) -> complex:
+def _apply_site(psi: np.ndarray, site: int, g: np.ndarray) -> np.ndarray:
+    """g applied to axis `site` (0-based) of an amplitude tensor."""
+    return np.moveaxis(np.tensordot(g, psi, axes=(1, site)), 0, site)
+
+
+def _site_contraction(rho: State):
+    """(start, step, leaf) folding product factors into `rho` site by site.
+
+    ``acc = step(acc, site, g)`` takes the factor of each site in order
+    (0-based) and ``leaf(acc)`` is then Tr[rho (g_1 x .. x g_N)]:
+
+    - dense: partial traces of the leading site, O(D^2) for the first one;
+    - pure: g applied to the amplitudes, closed with <psi|.>, O(D d);
+    - white noise: the running product of tr(g_i), starting from 1/D.
+    """
+    if isinstance(rho, WhiteNoise):
+        return (
+            1.0 / rho.dims.total_dim,
+            lambda acc, site, g: acc * np.trace(g),
+            lambda acc: acc,
+        )
+    if isinstance(rho, PureState):
+        psi = rho.amplitudes.reshape(rho.dims.dims)
+        return psi, _apply_site, lambda acc: np.vdot(psi, acc)
+    dims = rho.dims.dims
+    return (
+        rho.mat,
+        lambda acc, site, g: _contract_leading_site(acc, dims[site], g),
+        lambda acc: acc[0, 0],
+    )
+
+
+def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
     """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g."""
     dims = rho.dims.dims
     if len(factors) != len(dims):
         raise ValueError(f"expected {len(dims)} factors, got {len(factors)}")
-    mat = rho.mat
-    for d, g in zip(dims, factors):
+    acc, step, leaf = _site_contraction(rho)
+    for site, (d, g) in enumerate(zip(dims, factors)):
         g = np.asarray(g, dtype=complex)
         if g.shape != (d, d):
             raise ValueError(f"factor shape {g.shape} does not match site dimension {d}")
-        mat = _contract_leading_site(mat, d, g)
-    return complex(mat[0, 0])
+        acc = step(acc, site, g)
+    return complex(leaf(acc))
 
 
-def sandwich_trace(rho: DensityMatrix, m: ProductOperator) -> float:
+def sandwich_trace(rho: State, m: ProductOperator) -> float:
     """Tr[M^dag rho M] = Tr[rho M M^dag] for a product operator M.
 
     Nonnegative for any valid state; values in [-psd_tol, 0) from rounding
@@ -259,12 +312,13 @@ def sandwich_trace(rho: DensityMatrix, m: ProductOperator) -> float:
     """
     _check_dims(rho, m)
     value = product_trace(rho, [f @ f.conj().T for f in m.factors]).real
-    if -rho.tolerances.psd <= value < 0.0:
+    tol = getattr(rho, "tolerances", DEFAULT_TOLERANCES)
+    if -tol.psd <= value < 0.0:
         return 0.0
     return value
 
 
-def cross_trace(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> complex:
+def cross_trace(rho: State, x: ProductOperator, y: ProductOperator) -> complex:
     """Tr[X^dag rho Y]; for pure rho = |psi><psi| this is <psi|Y X^dag|psi>."""
     _check_dims(rho, x, y)
     return product_trace(
@@ -273,30 +327,68 @@ def cross_trace(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> c
 
 
 def subset_trace_sweep(
-    rho: DensityMatrix,
+    rho: State,
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """All 2^N traces Tr[rho (w_1 x .. x w_N)] with w_i in {u_i, v_i}.
 
     ``pairs[i] = (u, v)`` supplies the two candidate factors for site i+1;
     the result is indexed by a bitmask where bit i set means site i+1 uses
-    ``v``.  Computed by a binary contraction sweep in O(D^2) total instead
-    of 2^N independent kron chains.
+    ``v``.  Computed by a binary contraction sweep that shares the work of
+    common prefixes (O(D^2) total for a dense state) instead of 2^N
+    independent kron chains.
     """
     dims = rho.dims.dims
     if len(pairs) != len(dims):
         raise ValueError(f"expected {len(dims)} factor pairs, got {len(pairs)}")
+    start, step, leaf = _site_contraction(rho)
 
-    def rec(mat: np.ndarray, site: int) -> np.ndarray:
+    def rec(acc, site: int) -> np.ndarray:
         if site == len(dims):
-            return np.array([mat[0, 0]])
-        d = dims[site]
+            return np.array([leaf(acc)])
         u, v = pairs[site]
-        res_u = rec(_contract_leading_site(mat, d, np.asarray(u, dtype=complex)), site + 1)
-        res_v = rec(_contract_leading_site(mat, d, np.asarray(v, dtype=complex)), site + 1)
+        res_u = rec(step(acc, site, np.asarray(u, dtype=complex)), site + 1)
+        res_v = rec(step(acc, site, np.asarray(v, dtype=complex)), site + 1)
         out = np.empty(2 * res_u.size, dtype=complex)
         out[0::2] = res_u
         out[1::2] = res_v
         return out
 
-    return rec(rho.mat, 0)
+    return rec(start, 0)
+
+
+def pair_reduced(
+    rho: State, i: int, j: int, baseline: Sequence[np.ndarray]
+) -> np.ndarray:
+    """`rho` contracted with baseline factors at every site except i < j.
+
+    Sites are 0-based.  Returns the (d_i*d_j, d_i*d_j) block R with
+    Tr[rho (.. g_i .. g_j ..)] = Tr[R (g_i x g_j)] for any kept-site
+    factors, where every other site m carries ``baseline[m]``.  A pure
+    state gives R = Psi Phi^dag, with Psi the amplitudes as a (kept, rest)
+    matrix and Phi the same after applying baseline[m]^dag on the rest.
+    """
+    dims = rho.dims.dims
+    n = len(dims)
+    rest = [m for m in range(n) if m not in (i, j)]
+    kept = dims[i] * dims[j]
+    if isinstance(rho, WhiteNoise):
+        value = 1.0 / rho.dims.total_dim
+        for m in rest:
+            value = value * np.trace(baseline[m])
+        return value * np.eye(kept, dtype=complex)
+    perm = [i, j, *rest]
+    if isinstance(rho, PureState):
+        psi = rho.amplitudes.reshape(dims)
+        phi = psi
+        for m in rest:
+            phi = _apply_site(phi, m, baseline[m].conj().T)
+        psi_m = np.transpose(psi, perm).reshape(kept, -1)
+        phi_m = np.transpose(phi, perm).reshape(kept, -1)
+        return psi_m @ phi_m.conj().T
+    u_rest = np.array([[1.0 + 0.0j]])
+    for m in rest:
+        u_rest = np.kron(u_rest, baseline[m])
+    rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + p for p in perm])
+    rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
+    return np.einsum("arbs,sr->ab", rho_p, u_rest)

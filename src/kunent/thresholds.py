@@ -1,11 +1,19 @@
 """Detection thresholds along white-noise families.
 
-Every trace entering a criterion is linear in rho, and a noise family is an
-affine combination of fixed components, so the criterion's trace bundle
-along the family is an affine combination of per-component bundles.
-`FamilyMargin` precomputes those component bundles once; margin evaluations
-at any mixing weights then cost microseconds, which makes bisection and
-dense boundary scans cheap.
+Every trace entering a criterion is linear in rho, and a noise family is a
+weighted sum of fixed components (pure signals and white noise), so the
+criterion's trace bundle along the family is the same weighted sum of
+per-component bundles.  `FamilyMargin` computes those component bundles
+once, from the signals' amplitudes and analytically for white noise; a
+margin evaluation at any mixing weights is then a few array operations,
+and one call evaluates a whole batch of weights.  Bisection runs every
+gridline of a scan as one batch.
+
+The margin of the summed criteria (T1, and T2 for every k) is *convex*
+in the scanned weight, not affine: |affine| terms minus square roots of
+products of nonnegative affine terms.  So on a slice where the margin is
+not positive at the low end it crosses zero at most once; see
+`_bisect_margin` for what is and is not checked.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .criteria import (
     CriterionReport,
+    Margins,
     Theorem1Evaluator,
     Theorem2Evaluator,
     ghz_probe,
@@ -25,7 +33,7 @@ from .criteria import (
     w_tilde_probe,
 )
 from .states import NoiseFamily, ghz_noise_family, w_noise_family
-from .tensor import DensityMatrix
+from .tensor import WhiteNoise
 
 __all__ = [
     "ThresholdResult",
@@ -74,61 +82,100 @@ class BoundaryPoint:
 
 
 class FamilyMargin:
-    """Criterion margins along a noise family via affine trace bundles."""
+    """Criterion margins along a noise family from per-component bundles.
+
+    One bundle per pure signal, computed from its amplitudes, and one for
+    white noise, computed from the probe factors alone: no D x D matrix is
+    built.  `margins` evaluates a batch of parameter rows at once; a row
+    gives the same bits as a one-row call, because bundles are combined
+    left to right and each row is reduced in the same order.
+    """
 
     def __init__(self, family: NoiseFamily, evaluator):
         self.family = family
         self.evaluator = evaluator
-        components = [s.to_density_matrix() for s in family.signals]
-        d = family.dims.total_dim
-        mm = DensityMatrix(
-            family.dims, np.eye(d, dtype=complex) / d, _check_psd=False
-        )
-        components.append(mm)
+        components = [*family.signals, WhiteNoise(family.dims)]
         self._bundles = [evaluator.traces(c) for c in components]
         self._combine = type(self._bundles[0]).combine
 
-    def _weights(self, params: Sequence[float]) -> list[float]:
-        if len(params) != len(self.family.signals):
+    def _weights(self, params) -> np.ndarray:
+        """Component weights (..., n_signals + 1) for parameter rows
+        (..., n_signals); the last column is the white-noise weight."""
+        params = np.asarray(params, dtype=float)
+        n_signals = len(self.family.signals)
+        if params.ndim == 0 or params.shape[-1] != n_signals:
             raise ValueError(
-                f"family takes {len(self.family.signals)} parameters, got {len(params)}"
+                f"family takes {n_signals} parameters, got {params.shape[-1:] or 'a scalar'}"
             )
-        weights = [float(p) for p in params]
-        if any(w < 0 for w in weights):
-            raise ValueError(f"negative mixture weight in {weights}")
-        total = sum(weights)
-        if total > 1.0 + 1e-12:
-            raise ValueError(f"mixture weights sum to {total} > 1")
-        return weights + [1.0 - total]
+        if np.any(params < 0):
+            raise ValueError(f"negative mixture weight in {params.tolist()}")
+        # summed left to right, from 0, like a Python sum over one row
+        total = sum(params[..., c] for c in range(n_signals))
+        if np.any(total > 1.0 + 1e-12):
+            raise ValueError(f"mixture weights sum to {np.max(total)} > 1")
+        return np.concatenate([params, (1.0 - total)[..., None]], axis=-1)
+
+    def margins(self, params, k: int) -> Margins:
+        """Criterion values at one parameter row, or at each row of a
+        (B, n_signals) batch."""
+        bundle = self._combine(self._bundles, self._weights(params))
+        return self.evaluator.margins(bundle, k)
 
     def report(self, params: Sequence[float], k: int, include_terms: bool = True) -> CriterionReport:
         bundle = self._combine(self._bundles, self._weights(params))
         return self.evaluator.report(bundle, k, include_terms=include_terms)
 
     def margin(self, params: Sequence[float], k: int) -> float:
-        return self.report(params, k, include_terms=False).margin
+        return float(self.margins(params, k).margin)
 
 
-def _bisect_margin(f, lo: float, hi: float, tol: float, max_iter: int) -> tuple[float | None, float]:
-    """Root of a margin function on [lo, hi]; returns (root, residual)."""
-    det = DEFAULT_TOLERANCES.detection
-    f_hi = f(hi)
-    if f_hi <= det:
-        return None, f_hi
-    f_lo = f(lo)
-    if f_lo > det:
-        return lo, f_lo
+def _bisect_margin(
+    f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Root of each row of a batch of margin functions on [lo, hi].
+
+    ``f(t)`` maps one scanned weight per row to the criterion's `Margins`
+    there.  Returns (root, residual) arrays, row by row:
+
+    - not certified at hi: root NaN (no detection), residual f(hi);
+    - certified at lo: root lo, residual f(lo);
+    - otherwise the bracket is halved until it is at most `tol` wide (or
+      `max_iter` times); root is its midpoint, residual f(root).
+
+    The endpoints use the certificate rule (`Margins.detected`): they
+    decide whether the slice holds a detection at all.  Inside the bracket
+    the loop tests the sign of the margin, because it locates the margin's
+    zero, the edge of the detected region; testing against the rounding
+    allowance there would move every root by an amount set by the
+    allowance, not by the criterion.
+
+    A single crossing is assumed, not checked.  The summed criteria have
+    convex margins, so a slice whose margin is at most 0 at lo and positive
+    at hi crosses zero exactly once.  A margin certified at lo is reported
+    as detected on the whole slice, although a convex margin positive at
+    both ends can still dip below zero between them.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    at_hi = f(hi)
+    at_lo = f(lo)
+    bisect = at_hi.detected & ~at_lo.detected
     a, b = lo, hi
     for _ in range(max_iter):
-        if b - a <= tol:
+        live = bisect & (b - a > tol)
+        if not live.any():
             break
         mid = 0.5 * (a + b)
-        if f(mid) > 0.0:
-            b = mid
-        else:
-            a = mid
-    root = 0.5 * (a + b)
-    return root, f(root)
+        up = f(mid).margin > 0.0
+        b = np.where(live & up, mid, b)
+        a = np.where(live & ~up, mid, a)
+    mid = 0.5 * (a + b)
+    at_mid = f(np.where(bisect, mid, lo))
+    root = np.where(bisect, mid, np.where(at_hi.detected, lo, np.nan))
+    residual = np.where(
+        bisect, at_mid.margin, np.where(at_hi.detected, at_lo.margin, at_hi.margin)
+    )
+    return root, residual
 
 
 def bisection_threshold(
@@ -146,10 +193,12 @@ def bisection_threshold(
     `evaluator` is a criterion evaluator (`Theorem1Evaluator`,
     `Theorem2Evaluator` or `Theorem2K1Evaluator`) whose probes match the
     family dimensions.  `axis` selects which mixing weight is scanned; the
-    remaining weights are taken from `fixed` in order.  Margins along the
-    family are affine in the scanned weight, so a sign change is a single
-    crossing; if the margin never exceeds the detection tolerance the
-    result carries ``p_star=None``.
+    remaining weights are taken from `fixed` in order.  The margin is
+    convex in the scanned weight for the summed criteria (T1, T2), so it
+    crosses zero once when it is not certified at weight 0; the per-tuple
+    k = 1 margin is not convex, and a single crossing is then assumed (see
+    `_bisect_margin`).  If the margin is not certified at the top of the
+    slice the result carries ``p_star=None``.
     """
     n_params = len(family.signals)
     if len(fixed) != n_params - 1:
@@ -158,24 +207,26 @@ def bisection_threshold(
         raise ValueError(f"axis must be in 0..{n_params - 1}, got {axis}")
     fm = FamilyMargin(family, evaluator)
 
-    def params_at(t: float) -> list[float]:
-        params = list(fixed)
-        params.insert(axis, t)
-        return params
+    def f(t: np.ndarray) -> Margins:
+        columns = [np.full_like(t, w) for w in fixed]
+        columns.insert(axis, t)
+        return fm.margins(np.stack(columns, axis=-1), k)
 
     hi = 1.0 - sum(fixed)
     if hi <= 0.0:
         return ThresholdResult(k=k, p_star=None, method="bisection", residual=float("nan"))
 
-    def f(t: float) -> float:
-        return fm.margin(params_at(t), k)
-
-    root, residual = _bisect_margin(f, 0.0, hi, tol, max_iter)
-    if root is not None and root > 0.0:
+    (root,), (residual,) = _bisect_margin(f, np.zeros(1), np.array([hi]), tol, max_iter)
+    residual = float(residual)
+    if np.isnan(root):
+        return ThresholdResult(k=k, p_star=None, method="bisection", residual=residual)
+    root = float(root)
+    if root > 0.0:
         h = max(tol, 1e-6)
         a = max(root - h, 0.0)
         b = min(root + h, hi)
-        slope = abs(f(b) - f(a)) / (b - a)
+        f_a, f_b = f(np.array([a, b])).margin
+        slope = abs(f_b - f_a) / (b - a)
         if slope < 1e-9:
             return ThresholdResult(k=k, p_star=None, method="bisection", residual=residual)
     return ThresholdResult(k=k, p_star=root, method="bisection", residual=residual)
@@ -225,13 +276,15 @@ def ghz_threshold_table(
     fm = FamilyMargin(family, evaluator)
     rows = []
     for k in range(1, n):
-        root, _ = _bisect_margin(lambda p: fm.margin([p], k), 0.0, 1.0, tol, 60)
+        (root,), _ = _bisect_margin(
+            lambda p: fm.margins(p[:, None], k), np.zeros(1), np.ones(1), tol, 60
+        )
         reference = (
             COMPARISON_THRESHOLDS_8QUBIT[k - 1]
             if n == 8 and k <= len(COMPARISON_THRESHOLDS_8QUBIT)
             else None
         )
-        rows.append((k, float(root) if root is not None else float("nan"), reference))
+        rows.append((k, float(root), reference))
     return rows
 
 
@@ -263,18 +316,24 @@ def pq_boundary_scan(
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     fm = FamilyMargin(family, evaluator)
-    rows = []
-    for j in range(grid + 1):
-        g = j / grid
-        hi = 1.0 - g
-        def f(t: float, g: float = g) -> float:
-            params = [t, g] if axis == 0 else [g, t]
-            return fm.margin(params, k)
-        if hi <= 0.0:
-            rows.append(BoundaryPoint(k=k, gridline=g, star=None, residual=float("nan")))
-            continue
-        root, residual = _bisect_margin(f, 0.0, hi, tol, 60)
-        rows.append(BoundaryPoint(k=k, gridline=g, star=root, residual=residual))
+    # every gridline but the last (g = 1, an empty slice), in one batch
+    g = np.arange(grid) / grid
+
+    def f(t: np.ndarray) -> Margins:
+        params = [t, g] if axis == 0 else [g, t]
+        return fm.margins(np.stack(params, axis=-1), k)
+
+    roots, residuals = _bisect_margin(f, np.zeros_like(g), 1.0 - g, tol, 60)
+    rows = [
+        BoundaryPoint(
+            k=k,
+            gridline=float(gl),
+            star=None if np.isnan(root) else float(root),
+            residual=float(res),
+        )
+        for gl, root, res in zip(g, roots, residuals)
+    ]
+    rows.append(BoundaryPoint(k=k, gridline=1.0, star=None, residual=float("nan")))
     return rows
 
 

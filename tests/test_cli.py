@@ -234,3 +234,28 @@ class TestConfigFile:
         cfg.write_text("[1,2,3]")
         code, _, err = run_cli(capsys, "--config", str(cfg), "table1")
         assert code == 2
+
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "grid": 10}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "table1")
+        assert code == 2
+        assert out == ""
+        assert "unknown keys grid" in err
+
+    def test_config_values_yield_to_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4}))
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "table1", "--n", "3")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3  # header + k=1..2
+
+    def test_config_uses_only_public_argparse_api(self):
+        import inspect
+
+        from kunent import cli
+
+        source = inspect.getsource(cli)
+        assert "._actions" not in source
+        assert "_SubParsersAction" not in source
+

@@ -1,0 +1,255 @@
+"""Component-wise trace bundles and batched family margins.
+
+Bundles of pure states (from amplitudes) and of white noise (analytic)
+must match the bundles of the same states as dense matrices, and a batch
+of family margins must give, row by row, the bits of a one-point call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from kunent import (
+    DensityMatrix,
+    NoiseFamily,
+    ProductOperator,
+    PureState,
+    SiteDims,
+    Theorem1Evaluator,
+    Theorem2Evaluator,
+    Theorem2K1Evaluator,
+    WhiteNoise,
+    ghz_noise_family,
+    ghz_probe,
+    qubits,
+    w_noise_family,
+    w_probe,
+    w_tilde_probe,
+)
+from kunent.criteria import Theorem1Traces, Theorem2Traces
+from kunent.thresholds import FamilyMargin, _bisect_margin, pq_boundary_scan
+
+from conftest import random_product_operator
+
+FIELDS = {"T1": ("cross", "subset"), "T2": ("cross", "pair", "site", "base")}
+
+
+def random_ket(dims: SiteDims, rng: np.random.Generator) -> PureState:
+    z = rng.standard_normal(dims.total_dim) + 1j * rng.standard_normal(dims.total_dim)
+    return PureState(dims, z / np.linalg.norm(z))
+
+
+def random_factors(d: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(count)]
+
+
+def evaluators(kind: str, dims: SiteDims, rng: np.random.Generator):
+    x = random_product_operator(dims, rng)
+    if kind == "T1":
+        return Theorem1Evaluator(x, random_product_operator(dims, rng))
+    omegas = random_factors(dims.uniform(), 2, rng)
+    return Theorem2Evaluator(x, omegas) if kind == "T2" else Theorem2K1Evaluator(x, omegas)
+
+
+def assert_bundles_close(kind: str, got, want) -> None:
+    """Every field within 1e-12 of the largest entry of the dense bundle."""
+    fields = FIELDS["T1" if kind == "T1" else "T2"]
+    largest = max(np.max(np.abs(getattr(want, f))) for f in fields)
+    for f in fields:
+        diff = np.max(np.abs(np.asarray(getattr(got, f)) - getattr(want, f)))
+        assert diff <= 1e-12 * largest, f"{kind} {f}: {diff} vs largest entry {largest}"
+
+
+CASES = [("T1", (2,) * n) for n in range(2, 7)] + [("T1", (2, 3, 4))]
+CASES += [(kind, (2,) * n) for kind in ("T2", "T2_k1") for n in range(2, 7)]
+CASES += [("T2", (3, 3, 3))]
+
+
+class TestBundles:
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_pure_bundle_matches_dense(self, kind, dims):
+        rng = np.random.default_rng(len(dims) * 100 + sum(dims))
+        dims = SiteDims(dims)
+        for _ in range(3):
+            ev = evaluators(kind, dims, rng)
+            psi = random_ket(dims, rng)
+            assert_bundles_close(kind, ev.traces(psi), ev.traces(psi.to_density_matrix()))
+
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_white_noise_bundle_matches_dense(self, kind, dims):
+        rng = np.random.default_rng(len(dims) * 100 + sum(dims) + 1)
+        dims = SiteDims(dims)
+        d = dims.total_dim
+        dense = DensityMatrix(dims, np.eye(d, dtype=complex) / d, _check_psd=False)
+        for _ in range(3):
+            ev = evaluators(kind, dims, rng)
+            assert_bundles_close(kind, ev.traces(WhiteNoise(dims)), ev.traces(dense))
+
+    def test_family_never_builds_a_dense_state(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a family component was densified")
+
+        monkeypatch.setattr(PureState, "to_density_matrix", refuse)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        family = w_noise_family(3, 3)
+        fm = FamilyMargin(family, Theorem2Evaluator(*w_probe(family.dims)))
+        assert np.isfinite(fm.margin([0.2, 0.1], 1))
+
+
+def _random_family(rng: np.random.Generator) -> NoiseFamily:
+    dims = qubits(4)
+    return NoiseFamily(dims, (random_ket(dims, rng), random_ket(dims, rng)), ("p", "q"))
+
+
+def family_margins():
+    rng = np.random.default_rng(7)
+    ghz = ghz_noise_family(6)
+    w = w_noise_family(4, 3)
+    rand = _random_family(rng)
+    x, om = w_probe(w.dims)
+    xt, omt = w_tilde_probe(w.dims)
+    return [
+        ("ghz-T1", FamilyMargin(ghz, Theorem1Evaluator(*ghz_probe(ghz.dims))), range(1, 6)),
+        ("w-T2", FamilyMargin(w, Theorem2Evaluator(x, om)), range(1, 4)),
+        ("wtilde-T2", FamilyMargin(w, Theorem2Evaluator(xt, omt)), range(1, 4)),
+        ("w-T2_k1", FamilyMargin(w, Theorem2K1Evaluator(x, om)), [1]),
+        ("w-T2_k1-sum", FamilyMargin(w, Theorem2K1Evaluator(x, om, "sum")), [1]),
+        ("rand-T1", FamilyMargin(rand, evaluators("T1", rand.dims, rng)), range(1, 4)),
+        ("rand-T2", FamilyMargin(rand, evaluators("T2", rand.dims, rng)), range(1, 4)),
+    ]
+
+
+def _loop_combine(bundles, row):
+    """The mixture bundle summed component by component in Python floats,
+    white noise last with weight 1 - (sum of the signal weights)."""
+    weights = [float(p) for p in row]
+    weights.append(1.0 - sum(weights))
+
+    def mix(name):
+        return sum(w * getattr(b, name) for w, b in zip(weights, bundles))
+
+    first = bundles[0]
+    if isinstance(first, Theorem1Traces):
+        return Theorem1Traces(first.n, complex(mix("cross")), mix("subset"))
+    return Theorem2Traces(first.n, first.n_omega, mix("cross"), mix("pair"), mix("site"),
+                          float(mix("base")))
+
+
+class TestBatchedMargins:
+    @pytest.mark.parametrize("label,fm,ks", family_margins(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_rows_match_one_point_calls_bit_for_bit(self, label, fm, ks):
+        rng = np.random.default_rng(11)
+        n_params = len(fm.family.signals)
+        params = rng.dirichlet(np.ones(n_params + 1), size=64)[:, :n_params]
+        for k in ks:
+            batch = fm.margins(params, k)
+            for row, m, det in zip(params, batch.margin, batch.detected):
+                report = fm.report(row, k, include_terms=False)
+                looped = fm.evaluator.report(_loop_combine(fm._bundles, row), k)
+                assert m == fm.margin(row, k) == report.margin == looped.margin
+                assert det == report.detected == looped.detected
+
+
+def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
+    """One gridline at a time: the loop the batched bisection replaces."""
+    def f(t):
+        return fm.report(params_at(t), k, include_terms=False)
+
+    at_hi = f(hi)
+    if not at_hi.detected:
+        return None, at_hi.margin
+    at_lo = f(0.0)
+    if at_lo.detected:
+        return 0.0, at_lo.margin
+    a, b = 0.0, hi
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        mid = 0.5 * (a + b)
+        if f(mid).margin > 0.0:
+            b = mid
+        else:
+            a = mid
+    root = 0.5 * (a + b)
+    return root, f(root).margin
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("probe", ["w", "wtilde"])
+    def test_boundary_scan_matches_scalar_bisection(self, probe):
+        n, d, grid = 4, 3, 12
+        family = w_noise_family(n, d)
+        preset = w_probe if probe == "w" else w_tilde_probe
+        fm = FamilyMargin(family, Theorem2Evaluator(*preset(family.dims)))
+        for k in range(1, n):
+            rows = pq_boundary_scan(n, d, k, grid, probe=probe)
+            for row in rows[:-1]:
+                g = row.gridline
+                params_at = (lambda t: [t, g]) if probe == "w" else (lambda t: [g, t])
+                star, residual = _scalar_bisect(fm, params_at, k, 1.0 - g)
+                assert row.star == star and row.residual == residual
+
+    def test_rows_with_no_root_and_root_at_lo(self):
+        # row 0 is never certified, row 1 is certified on the whole slice
+        from kunent.criteria import Margins
+
+        def f(t):
+            margin = np.where(np.arange(t.size) == 0, -1.0, 1.0 + t)
+            return Margins(margin, margin, margin, margin > 0.0)
+
+        root, residual = _bisect_margin(f, np.zeros(2), np.ones(2), 1e-8, 60)
+        assert np.isnan(root[0]) and residual[0] == -1.0
+        assert root[1] == 0.0 and residual[1] == 1.0
+
+
+def _loop_t1(tr, k):
+    full = (1 << tr.n) - 1
+    clamped = np.maximum(tr.subset, 0.0)
+    rhs = 0.0
+    for mask in range(1, full):
+        rhs += float(np.sqrt(clamped[mask] * clamped[full ^ mask]))
+    lhs = abs(complex(tr.cross))
+    return lhs, rhs, (2 ** (k + 1) - 2) * lhs - rhs
+
+
+def _loop_t2(tr, k):
+    off = ~np.eye(tr.n, dtype=bool)
+    base = max(float(tr.base), 0.0)
+    lhs = float(np.sum(np.abs(tr.cross)[:, :, off]))
+    rhs_pairs = float(np.sum(np.sqrt(base * np.maximum(tr.pair, 0.0)[:, :, off])))
+    rhs = rhs_pairs + tr.n_omega * (tr.n - k - 1) * float(np.sum(np.maximum(tr.site, 0.0)))
+    return lhs, rhs, lhs - rhs
+
+
+def _loop_t2_k1(tr, k):
+    base = max(float(tr.base), 0.0)
+    best, total = (-np.inf, 0.0, 0.0), 0.0
+    for s in range(tr.n_omega):
+        for t in range(tr.n_omega):
+            for i in range(tr.n):
+                for j in range(tr.n):
+                    if i != j:
+                        lhs = float(np.abs(tr.cross[s, t, i, j]) ** 2)
+                        rhs = float(base * max(tr.pair[s, t, i, j], 0.0))
+                        total += lhs - rhs
+                        if lhs - rhs > best[0]:
+                            best = (lhs - rhs, lhs, rhs)
+    return best[1], best[2], best[0]
+
+
+class TestReportMatchesLoopReference:
+    """The vectorised margin formulas add in the order of the per-term loops
+    they replaced, so dense evaluations print the same bits as before."""
+
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_lhs_rhs_margin_bit_for_bit(self, kind, dims):
+        rng = np.random.default_rng(len(dims) * 10 + sum(dims) + 5)
+        dims = SiteDims(dims)
+        reference = {"T1": _loop_t1, "T2": _loop_t2, "T2_k1": _loop_t2_k1}[kind]
+        for _ in range(4):
+            ev = evaluators(kind, dims, rng)
+            tr = ev.traces(random_ket(dims, rng).to_density_matrix())
+            for k in ([1] if kind == "T2_k1" else range(1, dims.n)):
+                rep = ev.report(tr, k)
+                assert (rep.lhs, rep.rhs, rep.margin) == reference(tr, k)

@@ -30,6 +30,9 @@ from kunent import (
     w_probe,
     w_state,
 )
+from kunent.config import DEFAULT_TOLERANCES, summation_gamma
+from kunent.criteria import Theorem2K1Evaluator
+from kunent.tensor import DensityMatrix, WhiteNoise
 from kunent.thresholds import FamilyMargin, example2_closed_form
 
 from conftest import random_mixed_state, random_product_operator, random_pure_product
@@ -401,12 +404,19 @@ class TestCriterionReport:
         assert payload["terms"][0]["label"].startswith("alpha={")
 
     def test_detection_tolerance_contract(self, rng):
+        # detection is the scale-aware certificate rule
+        # margin > detection + gamma_m * max(scaled lhs, rhs), m = terms + D,
+        # not the absolute margin > 1e-12, which rounding satisfies on
+        # separable states once the probe norms are large
         dims = qubits(2)
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
         rep = theorem1_margin(rho, x, y, 1)
-        assert rep.detected == (rep.margin > 1e-12)
+        allowance = DEFAULT_TOLERANCES.detection + summation_gamma(2 + 4) * max(
+            2 * rep.lhs, rep.rhs
+        )
+        assert rep.detected == (rep.margin > allowance)
         assert rep.lhs >= 0.0
         assert rep.rhs >= 0.0
 
@@ -418,3 +428,58 @@ class TestCriterionReport:
         for p, q in [(0.1, 0.0), (0.2, 0.3), (0.0, 0.9)]:
             direct = theorem2_margin(fam.evaluate(p, q), x, om, 2).margin
             assert fm.margin([p, q], 2) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+class TestCertificateSoundness:
+    """No certificate on fully separable states, even where the criterion
+    holds with equality and rounding alone sets the sign of the margin."""
+
+    SCALES = (1e-3, 1.0, 1e3, 1e6)
+
+    @staticmethod
+    def _separable_states(dims, rng):
+        d = dims.total_dim
+        product = PureState(dims, random_pure_product(dims, rng))
+        return [
+            DensityMatrix(dims, np.eye(d, dtype=complex) / d, _check_psd=False),
+            WhiteNoise(dims),
+            product,
+            product.to_density_matrix(),
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tight_subset_probe_never_certifies(self, n):
+        # x = y at k = N-1: both sides equal (2^N - 2) Tr[rho XX^dag]
+        dims = qubits(n)
+        old_rule = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            scale = self.SCALES[seed % len(self.SCALES)]
+            x = ProductOperator(dims, tuple(
+                scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                for _ in range(n)
+            ))
+            ev = Theorem1Evaluator(x, x)
+            for rho in self._separable_states(dims, rng):
+                rep = ev.report(ev.traces(rho), n - 1, include_terms=False)
+                assert not rep.detected, (seed, scale, type(rho).__name__, rep.margin)
+                old_rule += rep.margin > DEFAULT_TOLERANCES.detection
+        if n >= 4:
+            assert old_rule > 0  # the absolute rule certified some of these
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_site_probes_never_certify(self, n):
+        dims = qubits(n)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            states = self._separable_states(dims, rng)
+            scale = self.SCALES[seed % len(self.SCALES)]
+            x = ProductOperator(dims, tuple(
+                scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                for _ in range(n)
+            ))
+            omegas = [scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))]
+            for ev, k in ((Theorem2Evaluator(x, omegas), n - 1),
+                          (Theorem2K1Evaluator(x, omegas), 1)):
+                for rho in states[1:3]:
+                    assert not ev.report(ev.traces(rho), k, include_terms=False).detected

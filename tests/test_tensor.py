@@ -18,6 +18,8 @@ from kunent import (
     kron,
     product_trace,
     qubits,
+    WhiteNoise,
+    pair_reduced,
     sandwich_trace,
     subset_trace_sweep,
 )
@@ -274,3 +276,42 @@ class TestSweep:
             assert sweep[mask] == pytest.approx(
                 product_trace(rho, factors), rel=1e-12, abs=1e-12
             )
+
+
+class TestComponentKernels:
+    """Pure-state and white-noise kernels against the dense kernels."""
+
+    DIMS = SiteDims((2, 3, 4))
+
+    def _states(self, rng):
+        d = self.DIMS.total_dim
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi = PureState(self.DIMS, z / np.linalg.norm(z))
+        noise = DensityMatrix(self.DIMS, np.eye(d, dtype=complex) / d, _check_psd=False)
+        return [(psi, psi.to_density_matrix()), (WhiteNoise(self.DIMS), noise)]
+
+    def _factors(self, rng):
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in self.DIMS.dims]
+
+    def test_product_trace_and_sweep(self, rng):
+        for state, dense in self._states(rng):
+            factors = self._factors(rng)
+            assert product_trace(state, factors) == pytest.approx(
+                product_trace(dense, factors), rel=1e-12, abs=1e-12)
+            pairs = list(zip(factors, self._factors(rng)))
+            assert_allclose(subset_trace_sweep(state, pairs), subset_trace_sweep(dense, pairs),
+                            rtol=1e-12, atol=1e-12)
+
+    def test_white_noise_trace_is_product_of_local_traces(self, rng):
+        factors = self._factors(rng)
+        expected = np.prod([np.trace(f) for f in factors]) / self.DIMS.total_dim
+        assert product_trace(WhiteNoise(self.DIMS), factors) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (0, 2), (1, 2)])
+    def test_pair_reduced(self, rng, i, j):
+        for state, dense in self._states(rng):
+            baseline = self._factors(rng)
+            assert_allclose(pair_reduced(state, i, j, baseline),
+                            pair_reduced(dense, i, j, baseline), rtol=1e-12, atol=1e-12)
+
