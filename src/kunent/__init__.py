@@ -27,6 +27,7 @@ from .criteria import (
 )
 from .oracle import doubled_lhs, doubled_term, oracle_check, verify_proof_chain
 from .states import (
+    Mixture,
     NoiseFamily,
     Partition,
     ghz,

@@ -30,8 +30,6 @@ from math import log2
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .criteria import (
     CriterionReport,
     Theorem1Evaluator,
@@ -43,7 +41,7 @@ from .criteria import (
 )
 from .oracle import oracle_check
 from .serialize import load_density_matrix, load_factor, load_product_operator
-from .states import ghz, mix, w_state, w_tilde
+from .states import Mixture, ghz, w_state, w_tilde
 from .tensor import DensityMatrix, SiteDims, qubits, qudits
 from .thresholds import (
     boundary_scan_csv,
@@ -74,8 +72,9 @@ def _parse_params(text: str, allowed: Sequence[str]) -> dict[str, float]:
     return params
 
 
-def parse_state_spec(spec: str) -> tuple[str, DensityMatrix]:
-    """Build a density matrix from a preset spec or a JSON file path."""
+def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
+    """The state of a preset spec, held by its components (`Mixture`), or
+    the density matrix in a JSON file."""
     if Path(spec).is_file():
         try:
             return spec, load_density_matrix(spec)
@@ -89,7 +88,7 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix]:
             n = int(n_str)
             params = _parse_params(params_str, ("p",))
             p = params.get("p", 1.0)
-            return spec, mix([(p, ghz(n))], qubits(n))
+            return spec, Mixture(qubits(n), ((p, ghz(n)),))
         if head in ("w", "wtilde"):
             parts = rest.split(":", 2)
             if len(parts) < 2:
@@ -102,9 +101,7 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix]:
             else:
                 p = params.get("p", 0.0)
                 q = params.get("q", 1.0)
-            return spec, mix(
-                [(p, w_state(n, d)), (q, w_tilde(n, d))], qudits(n, d)
-            )
+            return spec, Mixture(qudits(n, d), ((p, w_state(n, d)), (q, w_tilde(n, d))))
         if head == "mixed":
             if not rest.startswith("I/"):
                 raise InputError(f"mixed spec must look like mixed:I/256, got {spec!r}")
@@ -114,10 +111,7 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix]:
                 raise InputError(
                     f"mixed:I/D currently supports qubit spaces (D a power of 2), got D={total}"
                 )
-            dims = qubits(n)
-            return spec, DensityMatrix(
-                dims, np.eye(total, dtype=complex) / total, _check_psd=False
-            )
+            return spec, Mixture(qubits(n), ())
     except InputError:
         raise
     except (ValueError, TypeError) as exc:

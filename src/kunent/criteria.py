@@ -53,6 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, SUBSET_BUDGET, summation_gamma
+from .states import Mixture
 from .tensor import (
     DensityMatrix,
     ProductOperator,
@@ -346,8 +347,14 @@ class Theorem1Evaluator:
         self.dims = x.dims
         self.degenerate = x.is_zero() or y.is_zero()
 
-    def traces(self, rho: State) -> Theorem1Traces:
-        """Bundle of a dense, pure or white-noise state (`tensor.State`)."""
+    def traces(self, rho: State | Mixture) -> Theorem1Traces:
+        """Bundle of a dense, pure or white-noise state (`tensor.State`), or
+        of a `Mixture`: the weighted sum of its components' bundles."""
+        if isinstance(rho, Mixture):
+            return Theorem1Traces.combine([self._traces(c) for c in rho.components], rho.weights)
+        return self._traces(rho)
+
+    def _traces(self, rho: State) -> Theorem1Traces:
         pairs = [
             (fx @ fx.conj().T, fy @ fy.conj().T)
             for fx, fy in zip(self.x.factors, self.y.factors)
@@ -424,61 +431,52 @@ class Theorem2Evaluator:
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
         self._listed, self._summed = _tuple_orders(x.dims.n, len(self.omegas))
 
-    def traces(self, rho: State) -> Theorem2Traces:
-        """Bundle of a dense, pure or white-noise state (`tensor.State`)."""
+    def traces(self, rho: State | Mixture) -> Theorem2Traces:
+        """Bundle of a dense, pure or white-noise state (`tensor.State`), or
+        of a `Mixture`: the weighted sum of its components' bundles."""
         if rho.dims.dims != self.dims.dims:
             raise ValueError("state dims do not match probe dims")
+        if isinstance(rho, Mixture):
+            return Theorem2Traces.combine([self._traces(c) for c in rho.components], rho.weights)
+        return self._traces(rho)
+
+    def _traces(self, rho: State) -> Theorem2Traces:
         n, d, big_t = self.dims.n, self.d, len(self.omegas)
-        xs = self.x.factors
-        baseline = [f @ f.conj().T for f in xs]
-        omega_proj = [w @ w.conj().T for w in self.omegas]
+        xs = np.stack(self.x.factors)
+        om = np.stack(self.omegas)
+        xs_dag = xs.conj().transpose(0, 2, 1)
+        om_dag = om.conj().transpose(0, 2, 1)
+        baseline = xs @ xs_dag
+        omega_proj = om @ om_dag
+        # factors next to a substitution: sub[s, m] = x_m w_s^dag and
+        # sup[t, m] = w_t x_m^dag, so Tr[(X_i^s)^dag rho X_j^t] carries
+        # sub[s, i] at site i and sup[t, j] at site j
+        sub = xs[None] @ om_dag[:, None]
+        sup = om[:, None] @ xs_dag[None]
 
-        reduced: dict[tuple[int, int], np.ndarray] = {
-            (i, j): pair_reduced(rho, i, j, baseline)
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-
-        def val(i: int, j: int, g_i: np.ndarray, g_j: np.ndarray) -> complex:
-            return complex(np.einsum("ab,ba->", reduced[i, j], np.kron(g_i, g_j)))
-
+        # pair blocks R[p, a_i, a_j, b_i, b_j] of the pairs i < j in
+        # np.triu_indices order; Tr[R (g_i x g_j)] = sum R g_i[b_i, a_i] g_j[b_j, a_j]
+        rows, cols = np.triu_indices(n, 1)
+        reduced = np.stack([pair_reduced(rho, i, j, baseline) for i, j in zip(rows, cols)])
+        reduced = reduced.reshape(-1, d, d, d, d)
         cross = np.zeros((big_t, big_t, n, n), dtype=complex)
+        cross[:, :, rows, cols] = np.einsum("pwxyz,spyw,tpzx->stp", reduced,
+                                            sub[:, rows], sup[:, cols])
+        # cross[s, t, j, i] carries sup[t, i] at site i and sub[s, j] at site j
+        cross[:, :, cols, rows] = np.einsum("pwxyz,tpyw,spzx->stp", reduced,
+                                            sup[:, rows], sub[:, cols])
+        pair_ij = np.einsum("pwxyz,syw,tzx->stp", reduced, omega_proj, omega_proj).real
         pair = np.zeros((big_t, big_t, n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in range(big_t):
-                    for t in range(big_t):
-                        # ordered tuple (i, j): w_s substituted at i, w_t at j
-                        cross[s, t, i, j] = val(
-                            i, j,
-                            xs[i] @ self.omegas[s].conj().T,
-                            self.omegas[t] @ xs[j].conj().T,
-                        )
-                        cross[s, t, j, i] = val(
-                            i, j,
-                            self.omegas[t] @ xs[i].conj().T,
-                            xs[j] @ self.omegas[s].conj().T,
-                        )
-                        p = val(i, j, omega_proj[s], omega_proj[t]).real
-                        pair[s, t, i, j] = p
-                        pair[t, s, j, i] = p
+        pair[:, :, rows, cols] = pair_ij
+        pair[:, :, cols, rows] = pair_ij.transpose(1, 0, 2)
 
-        # Single-site blocks R_i: contract the partner slot of a cached pair
-        # reduction with its baseline factor.
-        site = np.zeros((big_t, n))
-        base = 0.0
-        for i in range(n):
-            partner = 1 if i == 0 else 0
-            lo, hi = min(i, partner), max(i, partner)
-            red4 = reduced[lo, hi].reshape(d, d, d, d)
-            if i == lo:
-                r_i = np.einsum("aAbB,BA->ab", red4, baseline[hi])
-            else:
-                r_i = np.einsum("aAbB,ba->AB", red4, baseline[lo])
-            for s in range(big_t):
-                site[s, i] = float(np.einsum("ab,ba->", r_i, omega_proj[s]).real)
-            if i == 0:
-                base = float(np.einsum("ab,ba->", r_i, baseline[i]).real)
+        # Single-site blocks R_i from the pairs (0, j), j = 1..n-1, which lead
+        # the stack: contract the partner slot with its baseline factor.
+        r_site = np.empty((n, d, d), dtype=complex)
+        r_site[0] = np.einsum("aAbB,BA->ab", reduced[0], baseline[1])
+        r_site[1:] = np.einsum("paAbB,ba->pAB", reduced[: n - 1], baseline[0])
+        site = np.einsum("iab,sba->si", r_site, omega_proj).real
+        base = float(np.einsum("ab,ba->", r_site[0], baseline[0]).real)
         return Theorem2Traces(n, big_t, cross, pair, site, base)
 
     def _evaluate(self, traces: Theorem2Traces, k: int):

@@ -8,13 +8,13 @@ detection criteria).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .tensor import DensityMatrix, PureState, SiteDims, qubits, qudits
+from .tensor import DensityMatrix, PureState, SiteDims, WhiteNoise, qubits, qudits
 
 __all__ = [
     "Partition",
@@ -23,6 +23,8 @@ __all__ = [
     "w_state",
     "shift_sigma",
     "w_tilde",
+    "Mixture",
+    "component_weights",
     "mix",
     "random_k_unentangled",
     "ghz_noise_family",
@@ -105,29 +107,72 @@ def w_tilde(n: int, d: int) -> PureState:
     return PureState(w.dims, tensor.reshape(-1))
 
 
-def mix(signals: Sequence[tuple[float, PureState]], dims: SiteDims) -> DensityMatrix:
-    """Convex mixture sum_i w_i |psi_i><psi_i| + (1 - sum w) I/D.
+def component_weights(signal_weights) -> np.ndarray:
+    """Weights of the signals followed by the white-noise weight 1 - sum.
 
-    Weights must be nonnegative and sum to at most 1 (within 1e-12); the
-    remaining weight goes to white noise.  Positivity follows from
-    convexity, so the PSD eigencheck is skipped.
+    `signal_weights` has shape (..., n_signals): one mixture, or a batch of
+    mixtures along the leading axes.  Every weight must be finite and
+    nonnegative, and each mixture's signal weights must sum to at most 1
+    (within 1e-12).
     """
-    total_dim = dims.total_dim
-    weights = [float(w) for w, _ in signals]
-    if any(w < 0 for w in weights):
-        raise ValueError(f"negative mixture weight in {weights}")
-    total = sum(weights)
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"mixture weights sum to {total} > 1")
-    mat = np.eye(total_dim, dtype=complex) * ((1.0 - total) / total_dim)
-    for w, psi in signals:
-        if psi.dims.dims != dims.dims:
-            raise ValueError(
-                f"signal dims {psi.dims.dims} do not match family dims {dims.dims}"
-            )
-        if w > 0.0:
-            mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(dims, mat, _check_psd=False)
+    w = np.asarray(signal_weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"non-finite mixture weight in {w.tolist()}")
+    if np.any(w < 0):
+        raise ValueError(f"negative mixture weight in {w.tolist()}")
+    # summed left to right, from 0, like a Python sum over one mixture
+    total = sum(w[..., c] for c in range(w.shape[-1]))
+    if np.any(total > 1.0 + 1e-12):
+        raise ValueError(f"mixture weights sum to {np.max(total)} > 1")
+    return np.concatenate([w, np.broadcast_to(1.0 - total, w.shape[:-1])[..., None]], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class Mixture:
+    """sum_i w_i |psi_i><psi_i| + (1 - sum w) I/D, held by its components.
+
+    Every trace a criterion needs is linear in the state, so it is the same
+    weighted sum of the traces of the pure signals and of white noise
+    (`WhiteNoise`); no D x D matrix is needed unless `dense` is called.
+    `weights` holds one weight per signal, then the white-noise weight.
+    """
+
+    dims: SiteDims
+    signals: tuple[tuple[float, PureState], ...]
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        signals = tuple((float(w), psi) for w, psi in self.signals)
+        weights = component_weights([w for w, _ in signals])
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        for _, psi in signals:
+            if psi.dims.dims != self.dims.dims:
+                raise ValueError(
+                    f"signal dims {psi.dims.dims} do not match family dims {self.dims.dims}"
+                )
+        object.__setattr__(self, "signals", signals)
+
+    @property
+    def components(self) -> tuple[PureState | WhiteNoise, ...]:
+        """The states the weights refer to, white noise last."""
+        return (*(psi for _, psi in self.signals), WhiteNoise(self.dims))
+
+    def dense(self) -> DensityMatrix:
+        """The mixture as a D x D matrix.  Positivity follows from
+        convexity, so the PSD eigencheck is skipped."""
+        total_dim = self.dims.total_dim
+        mat = np.eye(total_dim, dtype=complex) * (self.weights[-1] / total_dim)
+        for w, psi in self.signals:
+            if w > 0.0:
+                mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return DensityMatrix(self.dims, mat, _check_psd=False)
+
+
+def mix(signals: Sequence[tuple[float, PureState]], dims: SiteDims) -> DensityMatrix:
+    """Convex mixture sum_i w_i |psi_i><psi_i| + (1 - sum w) I/D as a dense
+    matrix; see `Mixture` for the weight rules."""
+    return Mixture(dims, tuple(signals)).dense()
 
 
 @dataclass(frozen=True)

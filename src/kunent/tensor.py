@@ -19,7 +19,16 @@ expectation needed by the detection criteria on a *single* copy of the
 state, for each of the three representations: the operator side is kept
 in product form and contracted site by site, so neither a two-copy state
 nor the assembled N-site operator is ever built, and a pure state or white
-noise is never expanded to a D x D matrix.
+noise is never expanded to a D x D matrix.  Costs per representation:
+
+- dense: O(D^2) time per trace, and per pair block of `pair_reduced`
+  (which also copies rho once per pair); the 2^N traces of
+  `subset_trace_sweep` share prefixes in a binary sweep, O(D^2) memory;
+- pure: O(N D d) time and O(D) memory per trace; `subset_trace_sweep`
+  meets in the middle with two 2^(N/2) x D amplitude stacks and one
+  matrix product, O(2^N D) time and O(2^(N/2) D) memory;
+- white noise: O(N d) per trace, an outer product of local traces,
+  O(2^N), for `subset_trace_sweep`.
 """
 
 from __future__ import annotations
@@ -334,27 +343,64 @@ def subset_trace_sweep(
 
     ``pairs[i] = (u, v)`` supplies the two candidate factors for site i+1;
     the result is indexed by a bitmask where bit i set means site i+1 uses
-    ``v``.  Computed by a binary contraction sweep that shares the work of
-    common prefixes (O(D^2) total for a dense state) instead of 2^N
-    independent kron chains.
+    ``v``.  One route per representation, none building the 2^N operators:
+
+    - dense: a binary contraction sweep over sites that shares the work of
+      common prefixes, O(D^2) time for the first site and O(D^2) memory;
+    - white noise: the outer product of the per-site traces tr(u_i),
+      tr(v_i), scaled by 1/D; O(2^N) time and memory;
+    - pure: meet in the middle.  Every choice on the left half of the sites
+      (L = floor(N/2)) is applied to the ket, a (2^L, D) stack, and every
+      daggered choice on the right half to the bra, a (2^(N-L), D) stack;
+      since the halves commute, <psi|W_L W_R|psi> = <W_R^dag psi|W_L psi>
+      and one (2^(N-L), D) x (D, 2^L) product gives all 2^N traces.
+      O(2^N D) time, O(2^(N/2) D) memory (about 1 MiB at N = 10 qubits).
     """
     dims = rho.dims.dims
-    if len(pairs) != len(dims):
-        raise ValueError(f"expected {len(dims)} factor pairs, got {len(pairs)}")
+    n = len(dims)
+    if len(pairs) != n:
+        raise ValueError(f"expected {n} factor pairs, got {len(pairs)}")
+    pairs = [(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)) for u, v in pairs]
+    if isinstance(rho, WhiteNoise):
+        out = np.array([1.0 / rho.dims.total_dim])
+        for u, v in pairs:
+            out = np.concatenate([out * np.trace(u), out * np.trace(v)])
+        return out
+    if isinstance(rho, PureState):
+        half = n // 2
+        ket = _choice_stack(rho.amplitudes, dims, range(half), pairs, dagger=False)
+        bra = _choice_stack(rho.amplitudes, dims, range(half, n), pairs, dagger=True)
+        return (bra.conj() @ ket.T).reshape(-1)
     start, step, leaf = _site_contraction(rho)
 
     def rec(acc, site: int) -> np.ndarray:
-        if site == len(dims):
+        if site == n:
             return np.array([leaf(acc)])
         u, v = pairs[site]
-        res_u = rec(step(acc, site, np.asarray(u, dtype=complex)), site + 1)
-        res_v = rec(step(acc, site, np.asarray(v, dtype=complex)), site + 1)
+        res_u = rec(step(acc, site, u), site + 1)
+        res_v = rec(step(acc, site, v), site + 1)
         out = np.empty(2 * res_u.size, dtype=complex)
         out[0::2] = res_u
         out[1::2] = res_v
         return out
 
     return rec(start, 0)
+
+
+def _choice_stack(amplitudes, dims, sites, pairs, dagger: bool) -> np.ndarray:
+    """(2^len(sites), D) amplitudes with u or v (daggered if `dagger`)
+    applied at each of `sites`; row r has v at the b-th of them when bit b
+    of r is set."""
+    stack = amplitudes.reshape(1, -1)
+    for site in sites:
+        g = np.stack(pairs[site])
+        if dagger:
+            g = g.conj().transpose(0, 2, 1)
+        # one GEMM: (rows * pre, d, post) x (2, d, d) -> (rows * pre, post, 2, d),
+        # then the u-rows, followed by the v-rows, back in site order
+        out = np.tensordot(stack.reshape(-1, dims[site], prod(dims[site + 1:])), g, axes=(1, 2))
+        stack = out.transpose(2, 0, 3, 1).reshape(-1, stack.shape[1])
+    return stack
 
 
 def pair_reduced(

@@ -32,7 +32,7 @@ from .criteria import (
     w_probe,
     w_tilde_probe,
 )
-from .states import NoiseFamily, ghz_noise_family, w_noise_family
+from .states import NoiseFamily, component_weights, ghz_noise_family, w_noise_family
 from .tensor import WhiteNoise
 
 __all__ = [
@@ -107,13 +107,7 @@ class FamilyMargin:
             raise ValueError(
                 f"family takes {n_signals} parameters, got {params.shape[-1:] or 'a scalar'}"
             )
-        if np.any(params < 0):
-            raise ValueError(f"negative mixture weight in {params.tolist()}")
-        # summed left to right, from 0, like a Python sum over one row
-        total = sum(params[..., c] for c in range(n_signals))
-        if np.any(total > 1.0 + 1e-12):
-            raise ValueError(f"mixture weights sum to {np.max(total)} > 1")
-        return np.concatenate([params, (1.0 - total)[..., None]], axis=-1)
+        return component_weights(params)
 
     def margins(self, params, k: int) -> Margins:
         """Criterion values at one parameter row, or at each row of a
@@ -205,6 +199,7 @@ def bisection_threshold(
         raise ValueError(f"need {n_params - 1} fixed weights, got {len(fixed)}")
     if not 0 <= axis < n_params:
         raise ValueError(f"axis must be in 0..{n_params - 1}, got {axis}")
+    component_weights(fixed)  # finite, nonnegative, summing to at most 1
     fm = FamilyMargin(family, evaluator)
 
     def f(t: np.ndarray) -> Margins:

@@ -24,24 +24,24 @@ class TestStateSpecs:
     def test_ghz_family(self):
         label, rho = parse_state_spec("ghz:3:p=0.5")
         assert rho.dims.dims == (2, 2, 2)
-        assert rho.mat[0, 7] == pytest.approx(0.25)
+        assert rho.dense().mat[0, 7] == pytest.approx(0.25)
 
     def test_pure_ghz_default(self):
         _, rho = parse_state_spec("ghz:3")
-        assert rho.mat[0, 0] == pytest.approx(0.5)
+        assert rho.dense().mat[0, 0] == pytest.approx(0.5)
 
     def test_w_family(self):
         _, rho = parse_state_spec("w:3:3:p=0.3,q=0.2")
-        assert np.trace(rho.mat) == pytest.approx(1.0)
+        assert np.trace(rho.dense().mat) == pytest.approx(1.0)
 
     def test_wtilde_pure(self):
         _, rho = parse_state_spec("wtilde:3:2")
-        assert rho.mat[3, 3] == pytest.approx(1 / 3)
+        assert rho.dense().mat[3, 3] == pytest.approx(1 / 3)
 
     def test_maximally_mixed(self):
         _, rho = parse_state_spec("mixed:I/256")
         assert rho.dims.n == 8
-        assert rho.mat[0, 0] == pytest.approx(1 / 256)
+        assert rho.dense().mat[0, 0] == pytest.approx(1 / 256)
 
     def test_file_path(self, rng, tmp_path):
         rho = random_mixed_state(__import__("kunent").qubits(2), rng)
@@ -136,6 +136,29 @@ class TestEval:
         )
         assert code == 2
         assert "do not match" in err
+
+    def test_preset_specs_are_never_densified(self, capsys, monkeypatch):
+        from kunent import DensityMatrix, PureState
+
+        def refuse(self):
+            raise AssertionError("a preset state was densified")
+
+        monkeypatch.setattr(PureState, "to_density_matrix", refuse)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        for argv in (["--rho", "ghz:6:p=0.6"], ["--rho", "mixed:I/64"],
+                     ["--rho", "w:4:3:p=0.3,q=0.2", "--theorem", "2"],
+                     ["--rho", "wtilde:3:3", "--theorem", "2", "--per-tuple"]):
+            code, _, _ = run_cli(capsys, "eval", *argv)
+            assert code == 0
+
+    @pytest.mark.parametrize(
+        "spec", ["ghz:4:p=nan", "ghz:4:p=inf", "ghz:4:p=-0.1", "w:5:4:p=0.7,q=0.4"]
+    )
+    def test_invalid_mixture_weights_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "eval", "--rho", spec)
+        assert code == 2
+        assert out == ""
+        assert "mixture weight" in err
 
     def test_k_out_of_range_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--rho", "ghz:4:p=0.5", "--k", "9")

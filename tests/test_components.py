@@ -1,8 +1,10 @@
 """Component-wise trace bundles and batched family margins.
 
-Bundles of pure states (from amplitudes) and of white noise (analytic)
-must match the bundles of the same states as dense matrices, and a batch
-of family margins must give, row by row, the bits of a one-point call.
+Bundles of pure states (from amplitudes), of white noise (analytic) and of
+weighted mixtures of them must match the bundles of the same states as
+dense matrices, the subset sweep and the batched Theorem-2 fill must match
+their dense and looped references, and a batch of family margins must
+give, row by row, the bits of a one-point call.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 
 from kunent import (
     DensityMatrix,
+    Mixture,
     NoiseFamily,
     ProductOperator,
     PureState,
@@ -20,11 +23,18 @@ from kunent import (
     Theorem2Evaluator,
     Theorem2K1Evaluator,
     WhiteNoise,
+    ghz,
     ghz_noise_family,
     ghz_probe,
+    mix,
+    pair_reduced,
     qubits,
+    qudits,
+    subset_trace_sweep,
     w_noise_family,
     w_probe,
+    w_state,
+    w_tilde,
     w_tilde_probe,
 )
 from kunent.criteria import Theorem1Traces, Theorem2Traces
@@ -95,6 +105,105 @@ class TestBundles:
         family = w_noise_family(3, 3)
         fm = FamilyMargin(family, Theorem2Evaluator(*w_probe(family.dims)))
         assert np.isfinite(fm.margin([0.2, 0.1], 1))
+
+
+def assert_close_to_largest(got, want) -> None:
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _loop_t2_traces(ev: Theorem2Evaluator, rho) -> Theorem2Traces:
+    """The Theorem-2 bundle filled one (i, j, s, t) value at a time, with
+    one np.kron per value: the loop the batched einsums replaced."""
+    n, d, big_t = ev.dims.n, ev.d, len(ev.omegas)
+    xs = ev.x.factors
+    baseline = [f @ f.conj().T for f in xs]
+    omega_proj = [w @ w.conj().T for w in ev.omegas]
+    reduced = {(i, j): pair_reduced(rho, i, j, baseline)
+               for i in range(n) for j in range(i + 1, n)}
+
+    def val(i, j, g_i, g_j):
+        return complex(np.einsum("ab,ba->", reduced[i, j], np.kron(g_i, g_j)))
+
+    cross = np.zeros((big_t, big_t, n, n), dtype=complex)
+    pair = np.zeros((big_t, big_t, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in range(big_t):
+                for t in range(big_t):
+                    cross[s, t, i, j] = val(i, j, xs[i] @ ev.omegas[s].conj().T,
+                                            ev.omegas[t] @ xs[j].conj().T)
+                    cross[s, t, j, i] = val(i, j, ev.omegas[t] @ xs[i].conj().T,
+                                            xs[j] @ ev.omegas[s].conj().T)
+                    pair[s, t, i, j] = pair[t, s, j, i] = val(
+                        i, j, omega_proj[s], omega_proj[t]).real
+    site = np.zeros((big_t, n))
+    base = 0.0
+    for i in range(n):
+        partner = 1 if i == 0 else 0
+        lo, hi = min(i, partner), max(i, partner)
+        red4 = reduced[lo, hi].reshape(d, d, d, d)
+        if i == lo:
+            r_i = np.einsum("aAbB,BA->ab", red4, baseline[hi])
+        else:
+            r_i = np.einsum("aAbB,ba->AB", red4, baseline[lo])
+        for s in range(big_t):
+            site[s, i] = np.einsum("ab,ba->", r_i, omega_proj[s]).real
+        if i == 0:
+            base = float(np.einsum("ab,ba->", r_i, baseline[i]).real)
+    return Theorem2Traces(n, big_t, cross, pair, site, base)
+
+
+SWEEP_DIMS = [(2, 2), (2, 3, 4), (3, 2, 2, 3), (2,) * 5, (2,) * 8]
+
+
+class TestKernels:
+    """The pure-state and white-noise routes of the subset sweep, the
+    batched Theorem-2 fill and mixture bundles against their references."""
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS)
+    def test_pure_sweep_matches_dense(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims))
+        dims = SiteDims(dims)
+        for _ in range(3):
+            psi = random_ket(dims, rng)
+            pairs = [tuple(random_factors(d, 2, rng)) for d in dims.dims]
+            assert_close_to_largest(subset_trace_sweep(psi, pairs),
+                                    subset_trace_sweep(psi.to_density_matrix(), pairs))
+
+    @pytest.mark.parametrize("dims", SWEEP_DIMS)
+    def test_white_noise_sweep_matches_dense(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 1)
+        dims = SiteDims(dims)
+        d = dims.total_dim
+        dense = DensityMatrix(dims, np.eye(d, dtype=complex) / d, _check_psd=False)
+        pairs = [tuple(random_factors(di, 2, rng)) for di in dims.dims]
+        assert_close_to_largest(subset_trace_sweep(WhiteNoise(dims), pairs),
+                                subset_trace_sweep(dense, pairs))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2,) * 4, (3, 3, 3), (4,) * 4])
+    def test_batched_t2_fill_matches_loop(self, dims):
+        rng = np.random.default_rng(sum(dims) + len(dims))
+        dims = SiteDims(dims)
+        psi = random_ket(dims, rng)
+        d = dims.total_dim
+        states = [psi, psi.to_density_matrix(), WhiteNoise(dims),
+                  DensityMatrix(dims, np.eye(d, dtype=complex) / d, _check_psd=False)]
+        for rho in states:
+            ev = evaluators("T2", dims, rng)
+            assert_bundles_close("T2", ev.traces(rho), _loop_t2_traces(ev, rho))
+
+    @pytest.mark.parametrize("kind", ["T1", "T2", "T2_k1"])
+    def test_mixture_bundle_matches_mix(self, kind):
+        rng = np.random.default_rng(3)
+        cases = [(qubits(5), ((0.6, ghz(5)),)),
+                 (qudits(3, 3), ((0.3, w_state(3, 3)), (0.2, w_tilde(3, 3)))),
+                 (qubits(4), ((0.25, random_ket(qubits(4), rng)),
+                              (0.5, random_ket(qubits(4), rng)))),
+                 (qubits(3), ())]
+        for dims, signals in cases:
+            ev = evaluators(kind, dims, rng)
+            assert_bundles_close(kind, ev.traces(Mixture(dims, signals)),
+                                 ev.traces(mix(list(signals), dims)))
 
 
 def _random_family(rng: np.random.Generator) -> NoiseFamily:

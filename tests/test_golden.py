@@ -17,6 +17,22 @@ CASES = {
     ],
     "table1.csv": ["table1"],
     "table1_n10.csv": ["table1", "--n", "10"],
+    "eval_ghz6_p0.6_t1.json": ["eval", "--rho", "ghz:6:p=0.6", "--theorem", "1"],
+    "eval_ghz10_p0.55_t1.csv": ["eval", "--rho", "ghz:10:p=0.55", "--theorem", "1", "--csv"],
+    "eval_w4_3_p0.3_q0.2_t2_wprobe.json": [
+        "eval", "--rho", "w:4:3:p=0.3,q=0.2", "--theorem", "2", "--preset", "w-probe",
+    ],
+    "eval_w5_4_p0.25_q0.1_t2_wtildeprobe.csv": [
+        "eval", "--rho", "w:5:4:p=0.25,q=0.1", "--theorem", "2", "--preset", "wtilde-probe",
+        "--csv",
+    ],
+    "eval_wtilde4_3_t2_wtildeprobe.json": [
+        "eval", "--rho", "wtilde:4:3", "--theorem", "2", "--preset", "wtilde-probe",
+    ],
+    "eval_ghz8_p0.5_t2_pertuple.json": [
+        "eval", "--rho", "ghz:8:p=0.5", "--theorem", "2", "--per-tuple",
+    ],
+    "eval_mixed64.json": ["eval", "--rho", "mixed:I/64"],
 }
 
 

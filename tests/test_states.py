@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from kunent import (
     DensityMatrix,
+    Mixture,
     Partition,
     ProductOperator,
     ghz,
@@ -25,8 +26,9 @@ from kunent import (
     w_noise_family,
     w_state,
     w_tilde,
+    WhiteNoise,
 )
-from kunent.states import product_pure_state, random_partition
+from kunent.states import component_weights, product_pure_state, random_partition
 
 from conftest import random_product_operator
 
@@ -145,6 +147,26 @@ class TestMix:
     def test_rejects_weights_over_one(self):
         with pytest.raises(ValueError, match="> 1"):
             mix([(0.7, ghz(2)), (0.4, ghz(2))], qubits(2))
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            mix([(weight, ghz(2))], qubits(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            Mixture(qubits(2), ((weight, ghz(2)),))
+
+    def test_mixture_holds_components_and_densifies_to_mix(self):
+        signals = ((0.5, w_state(3, 3)), (0.25, w_tilde(3, 3)))
+        rho = Mixture(qudits(3, 3), signals)
+        assert rho.weights.tolist() == [0.5, 0.25, 0.25]
+        assert isinstance(rho.components[-1], WhiteNoise)
+        assert np.array_equal(rho.dense().mat, mix(list(signals), qudits(3, 3)).mat)
+
+    def test_component_weights_batch(self):
+        batch = component_weights([[0.5, 0.25], [0.0, 1.0]])
+        assert batch.tolist() == [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]]
+        with pytest.raises(ValueError, match="> 1"):
+            component_weights([[0.5, 0.25], [0.6, 0.6]])
 
     def test_random_mixtures_are_valid_states(self, rng):
         for _ in range(5):

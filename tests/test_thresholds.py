@@ -129,6 +129,21 @@ class TestBisection:
         with pytest.raises(ValueError, match="fixed"):
             bisection_threshold(fam, ev, 1)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.1])
+    def test_invalid_fixed_weight_raises(self, weight):
+        fam = w_noise_family(3, 3)
+        ev = Theorem2Evaluator(*w_probe(fam.dims))
+        with pytest.raises(ValueError, match="mixture weight"):
+            bisection_threshold(fam, ev, 1, fixed=(weight,))
+
+    def test_non_finite_family_weight_raises(self):
+        fam = w_noise_family(3, 3)
+        fm = FamilyMargin(fam, Theorem2Evaluator(*w_probe(fam.dims)))
+        with pytest.raises(ValueError, match="non-finite"):
+            fm.margins([np.nan, 0.1], 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            fm.margins([[0.2, 0.1], [0.3, np.inf]], 1)
+
     def test_per_tuple_variant_bisects_to_its_own_line(self):
         # the k=1 per-tuple variant crosses where |cross| = base sandwich,
         # i.e. p = N(d-1) / (d^N + N(d-1)) -- distinct from (and below) the
