@@ -26,7 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import log2
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite, log2
+from os.path import commonprefix
 from pathlib import Path
 from typing import Sequence
 
@@ -184,6 +187,80 @@ def _reports_csv(reports: Sequence[CriterionReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _terms_layout() -> tuple[str, str, str, str, str]:
+    """How the `eval` document lays out a report's "terms" list, read off
+    json.dumps(..., indent=2) of CriterionReport.to_dict at the list's depth
+    (payload > "reports" > report), so to_dict alone owns its key names,
+    their order and the nesting.
+
+    Returns the empty list as the skeleton holds it (the `"terms": []`
+    marker), then the text before the first label, between a label and its
+    value, between a value and the next label, and after the last value.
+    A layout that puts a term's value before its label fails to unpack.
+    """
+
+    def document(terms) -> str:
+        report = CriterionReport("", 0, 0.0, 0.0, 0.0, False, terms)
+        return json.dumps({"reports": [report.to_dict()]}, indent=2)
+
+    # Encoded, the sentinels read "\u0000" and "\u0001", which occur nowhere else.
+    label, value = json.dumps("\0"), json.dumps("\1")
+    empty, full = document(()), document((("\0", "\1"),) * 2)
+    head = commonprefix([empty, full])
+    tail = commonprefix([empty[::-1], full[::-1]])[::-1]
+    marker = head[head.rindex("\n") + 1 :].lstrip() + tail[0]
+    first, after_first, after_second = full[len(head) : -len(tail)].split(label)
+    mid, between = after_first.split(value)
+    _, last = after_second.split(value)
+    return marker, first, mid, between, last
+
+
+_TERMS_MARKER, _TERMS_FIRST, _TERM_MID, _TERMS_BETWEEN, _TERMS_LAST = _terms_layout()
+
+
+def _json_floats(values: Sequence[float]) -> list[str]:
+    """Floats as json.dumps writes them: repr, or NaN / Infinity / -Infinity."""
+    texts = list(map(float.__repr__, values))
+    if all(map(isfinite, values)):
+        return texts
+    return [t if isfinite(v) else json.dumps(v) for t, v in zip(texts, values)]
+
+
+def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
+    """The `eval` JSON document, byte for byte json.dumps(payload, indent=2)
+    + "\n" of {"rho", "any_detected", "reports": [r.to_dict(), ...]}.
+
+    json.dumps with an indent runs the pure-Python encoder, one generator
+    step per token, which made writing the terms most of an `eval` request.
+    So it encodes only the skeleton, each report with an empty "terms"
+    list, and each non-empty list is filled in from `_terms_layout`.  The
+    skeleton splits at its `"terms": []` markers into one piece per report
+    plus one: inside an encoded string every quote is escaped, so the
+    marker occurs at the reports' "terms" keys only.
+    """
+    skeleton = json.dumps(
+        {
+            "rho": label,
+            "any_detected": any(r.detected for r in reports),
+            "reports": [replace(r, terms=()).to_dict() for r in reports],
+        },
+        indent=2,
+    )
+    head, *tails = skeleton.split(_TERMS_MARKER)
+    parts = [head]
+    for report, tail in zip(reports, tails, strict=True):
+        if report.terms:
+            names, values = zip(*report.terms)
+            pairs = zip(map(encode_basestring_ascii, names), _json_floats(values))
+            items = _TERMS_BETWEEN.join(map(_TERM_MID.join, pairs))
+            parts += (_TERMS_MARKER[:-1], _TERMS_FIRST, items, _TERMS_LAST, _TERMS_MARKER[-1])
+        else:
+            parts.append(_TERMS_MARKER)
+        parts.append(tail)
+    parts.append("\n")
+    return "".join(parts)
+
+
 def cmd_eval(args) -> int:
     label, rho = parse_state_spec(args.rho)
     try:
@@ -207,16 +284,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    if args.csv:
-        sys.stdout.write(_reports_csv(reports))
-    else:
-        payload = {
-            "rho": label,
-            "any_detected": any(r.detected for r in reports),
-            "reports": [r.to_dict() for r in reports],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    sys.stdout.write(_reports_csv(reports) if args.csv else _reports_json(label, reports))
     return 0
 
 

@@ -318,15 +318,26 @@ def _subset_labels(n: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=64)
-def _tuple_tags(n: int, big_t: int) -> tuple[str, ...]:
-    """Labels of the (s, t, i, j) tuples, i != j, in the order listed."""
+def _tuple_labels(kind: str, n: int, big_t: int) -> tuple[str, ...]:
+    """Labels kind[s=..,t=..,i=..,j=..] of the (s, t, i, j) tuples, i != j,
+    in the order listed."""
     return tuple(
-        f"s={s + 1},t={t + 1},i={i + 1},j={j + 1}"
+        f"{kind}[s={s + 1},t={t + 1},i={i + 1},j={j + 1}]"
         for s in range(big_t)
         for t in range(big_t)
         for i in range(n)
         for j in range(n)
         if i != j
+    )
+
+
+@lru_cache(maxsize=64)
+def _t2_term_labels(n: int, big_t: int) -> tuple[str, ...]:
+    """Labels of the per-tuple and per-site terms a T2 report lists after
+    its four sums: cross then pair for each tuple, then site[s=..,i=..]."""
+    cross, pair = _tuple_labels("cross", n, big_t), _tuple_labels("pair", n, big_t)
+    return tuple(label for both in zip(cross, pair) for label in both) + tuple(
+        f"site[s={s + 1},i={i + 1}]" for s in range(big_t) for i in range(n)
     )
 
 
@@ -504,26 +515,22 @@ class Theorem2Evaluator:
 
     def report(self, traces: Theorem2Traces, k: int, include_terms: bool = True) -> CriterionReport:
         m, rhs_pairs, rhs_sites = self._evaluate(traces, k)
-        terms: list[tuple[str, float]] = []
+        terms: tuple[tuple[str, float], ...] = ()
         if include_terms:
-            n, big_t = traces.n, traces.n_omega
             base = max(float(traces.base), 0.0)
-            site = np.maximum(traces.site, 0.0)
             cross_terms = np.abs(traces.cross).reshape(-1).take(self._listed)
             pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(self._listed))
-            terms = [
+            values = np.concatenate((
+                np.stack((cross_terms, pair_terms), axis=-1).reshape(-1),
+                np.maximum(traces.site, 0.0).reshape(-1),
+            ))
+            terms = (
                 ("lhs_sum", float(m.lhs)),
                 ("rhs_pair_sum", float(rhs_pairs)),
                 ("rhs_site_sum", float(rhs_sites)),
                 ("base", base),
-            ]
-            tags = _tuple_tags(n, big_t)
-            for tag, c, p in zip(tags, cross_terms.tolist(), pair_terms.tolist()):
-                terms.append((f"cross[{tag}]", c))
-                terms.append((f"pair[{tag}]", p))
-            for s in range(big_t):
-                for i in range(n):
-                    terms.append((f"site[s={s + 1},i={i + 1}]", float(site[s, i])))
+                *zip(_t2_term_labels(traces.n, traces.n_omega), values.tolist()),
+            )
         return CriterionReport(
             theorem=self.theorem,
             k=k,
@@ -531,7 +538,7 @@ class Theorem2Evaluator:
             rhs=float(m.rhs),
             margin=float(m.margin),
             detected=bool(m.detected),
-            terms=tuple(terms),
+            terms=terms,
             degenerate=self.degenerate,
         )
 
@@ -588,15 +595,14 @@ class Theorem2K1Evaluator:
 
     def report(self, traces: Theorem2Traces, k: int = 1, include_terms: bool = True) -> CriterionReport:
         m, tuples = self._evaluate(traces, k)
-        tags = _tuple_tags(traces.n, traces.n_omega)
+        n, big_t = traces.n, traces.n_omega
         if self.aggregation == "max":
-            witness = tags[int(np.argmax(tuples))]
-            witness_terms = [(f"max_margin[{witness}]", float(m.margin))]
+            witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
         else:
-            witness_terms = [("sum_margin", float(m.margin))]
-        terms = []
+            witness = "sum_margin"
+        terms = ((witness, float(m.margin)),)
         if include_terms:
-            terms = [(f"margin[{tag}]", v) for tag, v in zip(tags, tuples.tolist())]
+            terms += tuple(zip(_tuple_labels("margin", n, big_t), tuples.tolist()))
         return CriterionReport(
             theorem=self.theorem,
             k=1,
@@ -604,7 +610,7 @@ class Theorem2K1Evaluator:
             rhs=float(m.rhs),
             margin=float(m.margin),
             detected=bool(m.detected),
-            terms=tuple(witness_terms + terms),
+            terms=terms,
             degenerate=self.degenerate,
         )
 

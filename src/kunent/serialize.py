@@ -57,6 +57,8 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
         raise ValueError(f"invalid dims {list(dims)}")
     d = prod(dims)
     entries = obj["entries"]
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"'entries' must be an array of [re, im] pairs, got {type(entries).__name__}")
     if len(entries) != d * d:
         raise ValueError(
             f"expected {d * d} entries for dims {list(dims)}, got {len(entries)}"
@@ -65,7 +67,16 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
     for idx, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"entry {idx} must be a [re, im] pair, got {pair!r}")
-        flat[idx] = complex(float(pair[0]), float(pair[1]))
+        re, im = pair
+        # complex() refuses None, strings and arrays, but takes JSON true/false
+        if re is True or re is False or im is True or im is False:
+            raise ValueError(f"entry {idx} must hold two numbers, got {pair!r}")
+        try:
+            flat[idx] = complex(re, im)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"entry {idx} must hold two numbers in floating-point range, got {pair!r}"
+            ) from exc
     if not np.all(np.isfinite(flat.view(float))):
         raise ValueError("matrix entries must be finite")
     return dims, flat.reshape(d, d)

@@ -137,6 +137,32 @@ class TestEval:
         assert code == 2
         assert "do not match" in err
 
+    @pytest.mark.parametrize("broken", ["rho", "rho_entry", "x_entry", "omega"])
+    def test_malformed_json_inputs_exit_2(self, capsys, tmp_path, broken):
+        rho = matrix_to_dict(np.eye(4) / 4, [2, 2])
+        factor = matrix_to_dict(np.eye(2), [2])
+        x = [dict(factor), dict(factor)]
+        omega = dict(factor)
+        if broken == "rho":
+            rho["entries"] = 5
+        elif broken == "rho_entry":
+            rho["entries"][3] = [None, 0]
+        elif broken == "x_entry":
+            x[1] = {"dims": [2], "entries": [[1, 0], [None, 0], [0, 0], [1, 0]]}
+        else:
+            omega["entries"] = 5
+        paths = {}
+        for name, obj in (("rho", rho), ("x", x), ("omega", omega)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            capsys, "eval", "--rho", str(paths["rho"]), "--theorem", "2",
+            "--x", str(paths["x"]), "--omega", str(paths["omega"]),
+        )
+        assert code == 2
+        assert out == ""
+        assert "entr" in err
+
     def test_preset_specs_are_never_densified(self, capsys, monkeypatch):
         from kunent import DensityMatrix, PureState
 

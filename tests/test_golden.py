@@ -1,4 +1,8 @@
-"""Reproduction commands print exactly the recorded output in tests/golden/."""
+"""Reproduction commands print exactly the recorded output in tests/golden/.
+
+Every command runs with tests/golden/ as the working directory, so the
+input files under tests/golden/inputs/ are named by relative paths (`eval`
+echoes the `--rho` path it was given)."""
 
 from __future__ import annotations
 
@@ -33,11 +37,21 @@ CASES = {
         "eval", "--rho", "ghz:8:p=0.5", "--theorem", "2", "--per-tuple",
     ],
     "eval_mixed64.json": ["eval", "--rho", "mixed:I/64"],
+    "eval_file_d8_t1.json": [
+        "eval", "--rho", "inputs/rho_d8.json", "--theorem", "1",
+        "--x", "inputs/x_d8.json", "--y", "inputs/y_d8.json",
+    ],
+    "eval_file_d8_t2.json": [
+        "eval", "--rho", "inputs/rho_d8.json", "--theorem", "2",
+        "--x", "inputs/x_d8.json", "--omega", "inputs/omega1.json,inputs/omega2.json",
+    ],
+    "oracle_check_t5_s0.json": ["oracle-check", "--trials", "5", "--seed", "0"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden_bytes(name, capsys):
+def test_stdout_matches_golden_bytes(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / name).read_bytes()

@@ -55,6 +55,30 @@ class TestMatrixSchema:
         with pytest.raises(ValueError, match="dims"):
             matrix_from_dict({"entries": []})
 
+    @pytest.mark.parametrize("entries", [5, None, "abcd", {"0": [1, 0]}, 2.5])
+    def test_rejects_non_array_entries(self, entries):
+        with pytest.raises(ValueError, match="'entries' must be an array"):
+            matrix_from_dict({"dims": [2], "entries": entries})
+
+    @pytest.mark.parametrize(
+        "pair", [[None, 0], [0, None], ["1.5", 0], [True, 0], [0, False], [[1], 0], [{}, 0]]
+    )
+    def test_rejects_entry_that_is_not_two_numbers(self, pair):
+        entries = [[1.0, 0.0], [0, 0], [0, 0], [1, 0]]
+        entries[2] = pair
+        with pytest.raises(ValueError, match="entry 2 must hold two numbers"):
+            matrix_from_dict({"dims": [2], "entries": entries})
+
+    def test_rejects_integer_beyond_float_range(self):
+        entries = [[1, 0], [0, 0], [0, 10**400], [1, 0]]
+        with pytest.raises(ValueError, match="entry 2"):
+            matrix_from_dict({"dims": [2], "entries": entries})
+
+    def test_accepts_ints_and_numpy_reals(self):
+        entries = [[1, 0], [np.float64(0.5), np.int64(-2)], [0.0, 0], [np.float32(2.0), 1]]
+        _, mat = matrix_from_dict({"dims": [2], "entries": entries})
+        assert mat.tolist() == [[1, 0.5 - 2j], [0, 2 + 1j]]
+
 
 class TestDensityMatrixIO:
     def test_round_trip_via_file(self, rng, tmp_path):
