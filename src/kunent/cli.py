@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite, log2
 from os.path import commonprefix
@@ -386,8 +387,15 @@ def _read_config(path: str, known: set[str]) -> dict:
     return defaults
 
 
+@lru_cache(maxsize=1)
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without ``--config`` defaults, built once: every default
+    it holds is immutable, so parses cannot leak into one another."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _default_parser().parse_args(argv)
     if args.config:
         # the subcommand's own flags are the keys of its parsed namespace
         known = set(vars(args)) - {"config", "command", "func"}

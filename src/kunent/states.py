@@ -161,12 +161,17 @@ class Mixture:
     def dense(self) -> DensityMatrix:
         """The mixture as a D x D matrix.  Positivity follows from
         convexity, so the PSD eigencheck is skipped."""
-        total_dim = self.dims.total_dim
-        mat = np.eye(total_dim, dtype=complex) * (self.weights[-1] / total_dim)
-        for w, psi in self.signals:
-            if w > 0.0:
-                mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return DensityMatrix(self.dims, mat, _check_psd=False)
+        return _dense_mixture(self.dims, self.weights, [psi.amplitudes for _, psi in self.signals])
+
+
+def _dense_mixture(dims: SiteDims, weights: np.ndarray, amplitudes) -> DensityMatrix:
+    """sum_i w_i |a_i><a_i| + w_noise I/D, weights as `component_weights` gives."""
+    total_dim = dims.total_dim
+    mat = np.eye(total_dim, dtype=complex) * (weights[-1] / total_dim)
+    for w, amp in zip(weights, amplitudes):
+        if w > 0.0:
+            mat += w * np.outer(amp, amp.conj())
+    return DensityMatrix(dims, mat, _check_psd=False)
 
 
 def mix(signals: Sequence[tuple[float, PureState]], dims: SiteDims) -> DensityMatrix:
@@ -218,14 +223,28 @@ def _random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
-    """k singleton blocks plus one (n-k)-site block, singletons uniform."""
+def _random_blocks(n: int, k: int, rng: np.random.Generator) -> list[list[int]]:
+    """0-based sites of k uniform singletons, in order, then of the other n-k."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    singles = rng.choice(n, size=k, replace=False) + 1
-    rest = frozenset(range(1, n + 1)) - set(int(s) for s in singles)
-    blocks = tuple(frozenset({int(s)}) for s in sorted(singles)) + (frozenset(rest),)
-    return Partition(blocks)
+    singles = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
+    return [[s] for s in singles] + [[s for s in range(n) if s not in singles]]
+
+
+def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
+    """k singleton blocks plus one (n-k)-site block, singletons uniform."""
+    return Partition(tuple(frozenset(s + 1 for s in b) for b in _random_blocks(n, k, rng)))
+
+
+def _product_amplitudes(dims: Sequence[int], blocks, kets) -> np.ndarray:
+    """Amplitudes of the product of one ket per block of sorted 0-based
+    sites, laid out in site order."""
+    full = kets[0]
+    for ket in kets[1:]:
+        # the product np.tensordot(full, ket, axes=0) makes; np.multiply.outer's bits differ
+        full = np.dot(full.reshape(-1, 1), ket.reshape(1, -1))
+    order = [s for b in blocks for s in b]
+    return full.reshape([dims[s] for s in order]).transpose(np.argsort(order)).reshape(-1)
 
 
 def product_pure_state(
@@ -234,22 +253,13 @@ def product_pure_state(
     """Tensor product of per-block states, laid out in site order."""
     if partition.n != dims.n:
         raise ValueError("partition does not cover the system")
-    site_order: list[int] = []
-    tensors = []
-    for block, ket in zip(partition.blocks, block_kets):
-        sites = sorted(block)
-        block_dims = [dims.dims[s - 1] for s in sites]
-        if prod(block_dims) != ket.size:
-            raise ValueError("block state size does not match block dimensions")
-        site_order.extend(sites)
-        tensors.append(np.asarray(ket, dtype=complex).reshape(block_dims))
-    full = tensors[0]
-    for t in tensors[1:]:
-        full = np.tensordot(full, t, axes=0)
-    # Axis i of `full` currently holds site_order[i]; restore site order 1..n.
-    perm = np.argsort(site_order)
-    full = np.transpose(full, perm)
-    return PureState(dims, full.reshape(-1))
+    if len(block_kets) != len(partition.blocks):
+        raise ValueError("need one block state per partition block")
+    blocks = [[s - 1 for s in sorted(block)] for block in partition.blocks]
+    kets = [np.asarray(ket, dtype=complex) for ket in block_kets]
+    if any(prod(dims.dims[s] for s in b) != ket.size for b, ket in zip(blocks, kets)):
+        raise ValueError("block state size does not match block dimensions")
+    return PureState(dims, _product_amplitudes(dims.dims, blocks, kets))
 
 
 def random_k_unentangled(
@@ -260,21 +270,16 @@ def random_k_unentangled(
     Convex mixture of `terms` pure states, each of the form
     |a_1> x .. x |a_k> x |b> for an independently drawn partition
     (k uniform singletons + one (n-k)-site block) and random component
-    states; mixture weights are drawn from a flat simplex.
+    states; mixture weights are drawn from a flat simplex.  The terms are
+    mixed as `Mixture.dense` mixes them, without a `PureState` per term.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    n = dims.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.array([1.0])
-    signals = []
-    for w in weights:
-        part = random_partition(n, k, rng)
-        kets = [
-            _random_ket(prod(dims.dims[s - 1] for s in sorted(block)), rng)
-            for block in part.blocks
-        ]
-        signals.append((float(w), product_pure_state(dims, part, kets)))
-    return mix(signals, dims)
+    amplitudes = []
+    for _ in weights:
+        blocks = _random_blocks(dims.n, k, rng)
+        kets = [_random_ket(prod(dims.dims[s] for s in b), rng) for b in blocks]
+        amplitudes.append(_product_amplitudes(dims.dims, blocks, kets))
+    return _dense_mixture(dims, component_weights(weights), amplitudes)

@@ -22,8 +22,8 @@ nor the assembled N-site operator is ever built, and a pure state or white
 noise is never expanded to a D x D matrix.  Costs per representation:
 
 - dense: O(D^2) time per trace, and per pair block of `pair_reduced`
-  (which also copies rho once per pair); the 2^N traces of
-  `subset_trace_sweep` share prefixes in a binary sweep, O(D^2) memory;
+  (which also copies rho once per pair); `subset_trace_sweep` makes 4N - 2
+  einsum calls over stacks of partial blocks, with at most 3/8 of rho extra;
 - pure: O(N D d) time and O(D) memory per trace; `subset_trace_sweep`
   meets in the middle with two 2^(N/2) x D amplitude stacks and one
   matrix product, O(2^N D) time and O(2^(N/2) D) memory;
@@ -204,7 +204,10 @@ class DensityMatrix:
         mat = _frozen_complex(self.mat, (d, d), "density matrix")
         object.__setattr__(self, "mat", mat)
         tol = self.tolerances
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        # over row blocks of <= 2^18 entries, so no temporary is as large as rho
+        step = max(1, (1 << 18) // d)
+        herm_dev = max(float(np.max(np.abs(mat[r:r + step] - mat[:, r:r + step].conj().T)))
+                       for r in range(0, d, step))
         if herm_dev > tol.hermiticity:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = complex(np.trace(mat))
@@ -345,8 +348,10 @@ def subset_trace_sweep(
     the result is indexed by a bitmask where bit i set means site i+1 uses
     ``v``.  One route per representation, none building the 2^N operators:
 
-    - dense: a binary contraction sweep over sites that shares the work of
-      common prefixes, O(D^2) time for the first site and O(D^2) memory;
+    - dense: each factor at site 1 in turn (which halves the peak memory)
+      gives a partial trace, then site by site one einsum per factor runs
+      over the stack of all partial blocks: 4N - 2 einsum calls, O(D^2)
+      time, at most (D/d_1)^2 + 2 (D/(d_1 d_2))^2 <= 3/8 D^2 extra entries;
     - white noise: the outer product of the per-site traces tr(u_i),
       tr(v_i), scaled by 1/D; O(2^N) time and memory;
     - pure: meet in the middle.  Every choice on the left half of the sites
@@ -371,20 +376,20 @@ def subset_trace_sweep(
         ket = _choice_stack(rho.amplitudes, dims, range(half), pairs, dagger=False)
         bra = _choice_stack(rho.amplitudes, dims, range(half, n), pairs, dagger=True)
         return (bra.conj() @ ket.T).reshape(-1)
-    start, step, leaf = _site_contraction(rho)
-
-    def rec(acc, site: int) -> np.ndarray:
-        if site == n:
-            return np.array([leaf(acc)])
-        u, v = pairs[site]
-        res_u = rec(step(acc, site, u), site + 1)
-        res_v = rec(step(acc, site, v), site + 1)
-        out = np.empty(2 * res_u.size, dtype=complex)
-        out[0::2] = res_u
-        out[1::2] = res_v
-        return out
-
-    return rec(start, 0)
+    # u and v stacked into one einsum operand would not give the same bits
+    first = rho.mat.reshape(dims[0], len(rho.mat) // dims[0], dims[0], -1)
+    out = np.empty(1 << n, dtype=complex)
+    for c, g in enumerate(pairs[0]):
+        stack = np.einsum("arbs,ba->rs", first, g)[None]
+        for dm, (u, v) in zip(dims[1:], pairs[1:]):
+            blocks, rest = stack.shape[0], stack.shape[1] // dm
+            view = stack.reshape(blocks, dm, rest, dm, rest)
+            stack = np.empty((2, blocks, rest, rest), dtype=complex)
+            np.einsum("karbs,ba->krs", view, u, out=stack[0])
+            np.einsum("karbs,ba->krs", view, v, out=stack[1])
+            stack = stack.reshape(2 * blocks, rest, rest)
+        out[c::2] = stack.reshape(-1)
+    return out
 
 
 def _choice_stack(amplitudes, dims, sites, pairs, dagger: bool) -> np.ndarray:
@@ -434,7 +439,9 @@ def pair_reduced(
         return psi_m @ phi_m.conj().T
     u_rest = np.array([[1.0 + 0.0j]])
     for m in rest:
-        u_rest = np.kron(u_rest, baseline[m])
+        # the products np.kron(u_rest, baseline[m]) makes, in the same order
+        b = baseline[m]
+        u_rest = (u_rest[:, None, :, None] * b[None, :, None, :]).reshape(len(u_rest) * len(b), -1)
     rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + p for p in perm])
     rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
     return np.einsum("arbs,sr->ab", rho_p, u_rest)

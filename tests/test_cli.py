@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +302,24 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "--config", str(cfg), "table1", "--n", "3")
         assert code == 0
         assert len(out.strip().split("\n")) == 3  # header + k=1..2
+
+    def test_calls_in_a_row_match_separate_processes(self, capsys, tmp_path):
+        # the parser is built once per process; no parse may change the next
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4}))
+        calls = [["eval", "--rho", "ghz:3:p=0.9", "--k", "1", "--csv"],
+                 ["eval", "--rho", "w:3:3:p=0.5,q=0.1", "--theorem", "2", "--preset", "w-probe"],
+                 ["--config", str(cfg), "table1"],
+                 ["table1"],
+                 ["--config", str(cfg), "table1", "--n", "5"],
+                 ["eval", "--rho", "ghz:3:p=0.9"]]
+        src = str(Path(__import__("kunent").__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in calls:
+            code, out, err = run_cli(capsys, *argv)
+            alone = subprocess.run([sys.executable, "-m", "kunent.cli", *argv], env=env,
+                                   capture_output=True, text=True, check=False)
+            assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
 
     def test_config_uses_only_public_argparse_api(self):
         import inspect

@@ -9,6 +9,8 @@ give, row by row, the bits of a one-point call.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from kunent import (
     pair_reduced,
     qubits,
     qudits,
+    random_k_unentangled,
     subset_trace_sweep,
     w_noise_family,
     w_probe,
@@ -40,7 +43,7 @@ from kunent import (
 from kunent.criteria import Theorem1Traces, Theorem2Traces
 from kunent.thresholds import FamilyMargin, _bisect_margin, pq_boundary_scan
 
-from conftest import random_product_operator
+from conftest import random_mixed_state, random_product_operator
 
 FIELDS = {"T1": ("cross", "subset"), "T2": ("cross", "pair", "site", "base")}
 
@@ -204,6 +207,88 @@ class TestKernels:
             ev = evaluators(kind, dims, rng)
             assert_bundles_close(kind, ev.traces(Mixture(dims, signals)),
                                  ev.traces(mix(list(signals), dims)))
+
+
+def _recursive_dense_sweep(rho: DensityMatrix, pairs) -> np.ndarray:
+    """The binary recursion the per-site dense sweep replaced: one
+    leading-site contraction per node, 2^(N+1) Python-level steps."""
+    dims = rho.dims.dims
+
+    def rec(mat, site):
+        if site == len(dims):
+            return np.array([mat[0, 0]])
+        d = dims[site]
+        view = mat.reshape(d, mat.shape[0] // d, d, mat.shape[0] // d)
+        res_u, res_v = (rec(np.einsum("arbs,ba->rs", view, g), site + 1) for g in pairs[site])
+        out = np.empty(2 * res_u.size, dtype=complex)
+        out[0::2] = res_u
+        out[1::2] = res_v
+        return out
+
+    return rec(rho.mat, 0)
+
+
+def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarray:
+    """The dense pair block with the rest-site baselines joined by np.kron,
+    as `pair_reduced` built it before."""
+    dims = rho.dims.dims
+    n = len(dims)
+    rest = [m for m in range(n) if m not in (i, j)]
+    u_rest = np.array([[1.0 + 0.0j]])
+    for m in rest:
+        u_rest = np.kron(u_rest, baseline[m])
+    perm = [i, j, *rest]
+    kept = dims[i] * dims[j]
+    rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + p for p in perm])
+    rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
+    return np.einsum("arbs,sr->ab", rho_p, u_rest)
+
+
+BITWISE_DIMS = [(2,) * n for n in range(3, 9)] + [(2, 3, 4), (3, 2, 2, 3), (4,) * 4]
+
+# SHA-256 of random_k_unentangled(dims, k, terms, seed).mat.tobytes(), as
+# built through Partition, PureState and Mixture objects per term
+STATE_DIGESTS = [
+    ((2, 2, 2), 1, 4, 0, "0fc8e7feda4e483735854eab8cac0be58eabffe1e5eff360221bbdc8a1e515a3"),
+    ((2, 2, 2, 2), 3, 4, 11, "c73161aa0e66b87f03010e592f83e3e19103be9b104fa3cc3a363b168c71c481"),
+    ((2,) * 6, 2, 4, 12345, "d03a86b886eca2199a8de6e7f022b31526cd0991809e6fa226d595a9e7245a49"),
+    ((2, 3, 4), 2, 3, 7, "43974bb26748ed06ae89f72678e9882182fd836fb2aaee722779feaa5293cfa0"),
+    ((3, 2, 2, 3), 1, 5, 99, "a092b82e254928fdb009f3e100cd54bd3db4f5454cf4d073ec7cc9c656fa2041"),
+    ((2,) * 5, 4, 1, 2024, "f686b4b5c9b0bcc6b6aa0af4500af0cbcd7767592070f5f859e7e921564d08fe"),
+    ((4, 4, 4), 1, 6, 5, "74fcf6d6885e3f9f1d2842f633e4e021853a7af9d2aff53e03616bb0df70f787"),
+]
+
+
+class TestDenseKernelsBitForBit:
+    """The dense subset sweep, the dense pair blocks and the seeded
+    k-unentangled state keep every bit of the code they replaced."""
+
+    @pytest.mark.parametrize("dims", BITWISE_DIMS)
+    def test_dense_sweep_matches_recursion(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 2)
+        dims = SiteDims(dims)
+        for _ in range(3):
+            rho = random_mixed_state(dims, rng, rank=4)
+            pairs = [tuple(random_factors(d, 2, rng)) for d in dims.dims]
+            assert np.array_equal(subset_trace_sweep(rho, pairs),
+                                  _recursive_dense_sweep(rho, pairs))
+
+    @pytest.mark.parametrize("dims", BITWISE_DIMS)
+    def test_dense_pair_blocks_match_kron_loop(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 3)
+        dims = SiteDims(dims)
+        rho = random_mixed_state(dims, rng, rank=4)
+        baseline = [f @ f.conj().T for d in dims.dims for f in random_factors(d, 1, rng)]
+        for i in range(dims.n):
+            for j in range(i + 1, dims.n):
+                assert np.array_equal(pair_reduced(rho, i, j, baseline),
+                                      _kron_pair_reduced(rho, i, j, baseline))
+
+    @pytest.mark.parametrize("dims, k, terms, seed, digest", STATE_DIGESTS)
+    def test_random_k_unentangled_bits_pinned(self, dims, k, terms, seed, digest):
+        rho = random_k_unentangled(SiteDims(dims), k, terms, seed)
+        assert isinstance(rho, DensityMatrix)
+        assert hashlib.sha256(rho.mat.tobytes()).hexdigest() == digest
 
 
 def _random_family(rng: np.random.Generator) -> NoiseFamily:

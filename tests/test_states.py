@@ -220,6 +220,14 @@ class TestProductPureState:
         expected[0b001] = 1.0  # site1=0, site2=0, site3=1
         assert_allclose(psi.amplitudes, expected)
 
+    def test_one_ket_per_block(self):
+        part = Partition((frozenset({2}), frozenset({1, 3})))
+        single = np.array([1.0, 0.0], dtype=complex)
+        block = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        for kets in ([single], [single, block, single]):
+            with pytest.raises(ValueError, match="one block state per partition block"):
+                product_pure_state(qudits(3, 2), part, kets)
+
 
 class TestRandomKUnentangled:
     def test_deterministic_under_seed(self):

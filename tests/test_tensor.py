@@ -143,6 +143,21 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(qubits(2), mat)
 
+    def test_hermiticity_deviation_over_row_blocks(self):
+        # D = 1024 is checked in four row blocks; the deviation sits in the
+        # last one and is reported, and decided on, as over the whole matrix
+        dims = qubits(10)
+        d = dims.total_dim
+        for dev, raises in [(1e-10, False), (1.5e-10, True), (3e-6, True)]:
+            mat = np.eye(d, dtype=complex) / d
+            mat[1000, 900] = dev
+            full = float(np.max(np.abs(mat - mat.conj().T)))
+            if raises:
+                with pytest.raises(ValueError, match=f"deviation {full:.3e}"):
+                    DensityMatrix(dims, mat, _check_psd=False)
+            else:
+                DensityMatrix(dims, mat, _check_psd=False)
+
     def test_density_matrix_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(qubits(2), np.eye(4, dtype=complex))
