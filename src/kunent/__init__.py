@@ -16,12 +16,7 @@ from .criteria import (
     Theorem2Evaluator,
     Theorem2K1Evaluator,
     ghz_probe,
-    site_substituted_operator,
     swap_on_subset,
-    theorem1_margin,
-    theorem1_term,
-    theorem2_k1_margin,
-    theorem2_margin,
     w_probe,
     w_tilde_probe,
 )
@@ -29,7 +24,6 @@ from .oracle import doubled_lhs, doubled_term, oracle_check, verify_proof_chain
 from .states import (
     Mixture,
     NoiseFamily,
-    Partition,
     ghz,
     ghz_noise_family,
     mix,
@@ -47,7 +41,6 @@ from .tensor import (
     WhiteNoise,
     assemble,
     cross_trace,
-    kron,
     pair_reduced,
     product_trace,
     qubits,

@@ -130,26 +130,17 @@ def _build_evaluator(args, dims: SiteDims):
     theorem = args.theorem
     if args.per_tuple and theorem != 2:
         raise InputError("--per-tuple applies to theorem 2 only")
+    if args.preset is not None and (args.x or args.y or args.omega):
+        raise InputError("--preset cannot be combined with --x/--y/--omega")
+    if args.preset == "ghz-probe":
+        if theorem != 1:
+            raise InputError("preset ghz-probe drives theorem 1")
+        return Theorem1Evaluator(*ghz_probe(dims))
     if args.preset is not None:
-        if args.x or args.y or args.omega:
-            raise InputError("--preset cannot be combined with --x/--y/--omega")
-        if args.preset == "ghz-probe":
-            if theorem != 1:
-                raise InputError("preset ghz-probe drives theorem 1")
-            return Theorem1Evaluator(*ghz_probe(dims))
-        if args.preset == "w-probe":
-            x, om = w_probe(dims)
-        elif args.preset == "wtilde-probe":
-            x, om = w_tilde_probe(dims)
-        else:  # pragma: no cover - argparse restricts choices
-            raise InputError(f"unknown preset {args.preset!r}")
         if theorem != 2:
             raise InputError(f"preset {args.preset} drives theorem 2")
-        if args.per_tuple:
-            return Theorem2K1Evaluator(x, om)
-        return Theorem2Evaluator(x, om)
-
-    if theorem == 1:
+        x, om = (w_probe if args.preset == "w-probe" else w_tilde_probe)(dims)
+    elif theorem == 1:
         if not (args.x and args.y):
             # default probe choice: GHZ preset works on any dimensions
             if args.x or args.y:
@@ -162,21 +153,16 @@ def _build_evaluator(args, dims: SiteDims):
                 f"probe dims {x.dims.dims}/{y.dims.dims} do not match state dims {dims.dims}"
             )
         return Theorem1Evaluator(x, y)
-
-    if args.x is None and args.omega is None:
+    elif args.x is None and args.omega is None:
         x, om = w_probe(dims)
-        if args.per_tuple:
-            return Theorem2K1Evaluator(x, om)
-        return Theorem2Evaluator(x, om)
-    if not (args.x and args.omega):
-        raise InputError("theorem 2 needs both --x and --omega (or a preset)")
-    x = load_product_operator(args.x)
-    if x.dims.dims != dims.dims:
-        raise InputError(f"probe dims {x.dims.dims} do not match state dims {dims.dims}")
-    omegas = [load_factor(p) for p in args.omega.split(",")]
-    if args.per_tuple:
-        return Theorem2K1Evaluator(x, omegas)
-    return Theorem2Evaluator(x, omegas)
+    else:
+        if not (args.x and args.omega):
+            raise InputError("theorem 2 needs both --x and --omega (or a preset)")
+        x = load_product_operator(args.x)
+        if x.dims.dims != dims.dims:
+            raise InputError(f"probe dims {x.dims.dims} do not match state dims {dims.dims}")
+        om = [load_factor(p) for p in args.omega.split(",")]
+    return (Theorem2K1Evaluator if args.per_tuple else Theorem2Evaluator)(x, om)
 
 
 def _reports_csv(reports: Sequence[CriterionReport]) -> str:
@@ -346,8 +332,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         action="store_true",
         help="theorem 2, k=1: use the per-tuple variant instead of the summed form",
     )
-    p_eval.add_argument("--json", action="store_true", help="JSON output (default)")
-    p_eval.add_argument("--csv", action="store_true", help="CSV output")
+    p_eval.add_argument("--csv", action="store_true", help="CSV output (default: JSON)")
     p_eval.set_defaults(**(defaults or {}), func=cmd_eval)
 
     p_t1 = sub.add_parser("table1", help="GHZ noise-family threshold table")

@@ -19,7 +19,7 @@ density matrix against product operators:
   X and a set omega = {w_1..w_T} of single-site operators define
   X_i^s (w_s substituted at site i) and X_ij^st (two substitutions).
   The summed inequality compares sum |Tr[(X_i^s)^dag rho X_j^t]| against
-  factorized bounds; see `theorem2_margin`.  Valid for 1 <= k <= N-1.
+  factorized bounds; see `Theorem2Evaluator`.  Valid for 1 <= k <= N-1.
 
 Permutation convention
 ----------------------
@@ -28,24 +28,24 @@ Tr[(. x .) P_alpha^dag rho^(x2) P_alpha (. x .)].  This library reads
 P_alpha as the *factor-exchange action*: it swaps the per-site operator
 factors on alpha between the two copies.  Under that reading every
 two-copy trace factorizes exactly into the single-copy traces used here
-(the `oracle` module verifies this numerically, and also implements the
-rejected matrix-product reading behind a debug flag for comparison: the
-two readings disagree, and only the factor-exchange action reproduces
-the pure-state value |<psi|Y X^dag|psi>|^2 for the left-hand side).
+(the `oracle` module verifies this numerically).  The rejected
+matrix-product reading, a subsystem-swap matrix acting by multiplication,
+disagrees: only the factor-exchange action reproduces the pure-state
+value |<psi|Y X^dag|psi>|^2 for the left-hand side.
 
-The k = 1 special form (`theorem2_k1_margin`) checks the per-tuple
+The k = 1 special form (`Theorem2K1Evaluator`) checks the per-tuple
 inequality |Tr[(X_i^s)^dag rho X_j^t]|^2 <= Tr[rho XX^dag] *
 Tr[rho X_ij^st (X_ij^st)^dag].  Caution: that per-tuple bound is only
 guaranteed when sites i and j end up in different blocks of the
-witnessing partition, so unlike `theorem2_margin` (which is sound for
-k = 1) it can fire on states that do contain one unentangled particle.
+witnessing partition, so unlike the summed form (`Theorem2Evaluator`,
+sound for k = 1) it can fire on states that do contain one unentangled
+particle.
 It is the sharper choice on fully product states; threshold scans use
 the summed form for k = 1.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -55,13 +55,11 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, SUBSET_BUDGET, summation_gamma
 from .states import Mixture
 from .tensor import (
-    DensityMatrix,
     ProductOperator,
     SiteDims,
     State,
     cross_trace,
     pair_reduced,
-    sandwich_trace,
     subset_trace_sweep,
 )
 
@@ -71,11 +69,6 @@ __all__ = [
     "Margins",
     "certified",
     "swap_on_subset",
-    "site_substituted_operator",
-    "theorem1_term",
-    "theorem1_margin",
-    "theorem2_margin",
-    "theorem2_k1_margin",
     "Theorem1Evaluator",
     "Theorem2Evaluator",
     "Theorem2K1Evaluator",
@@ -138,9 +131,6 @@ class CriterionReport:
             "terms": [{"label": label, "value": value} for label, value in self.terms],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def swap_on_subset(
     x: ProductOperator, y: ProductOperator, alpha: PermutationAction
@@ -165,31 +155,6 @@ def swap_on_subset(
         ProductOperator(x.dims, a_factors),
         ProductOperator(x.dims, b_factors),
     )
-
-
-def site_substituted_operator(
-    x: ProductOperator, site: int, w: np.ndarray
-) -> ProductOperator:
-    """Copy of x with the factor at `site` (1-based) replaced by w."""
-    return x.replace_factor(site, w)
-
-
-def theorem1_term(
-    rho: DensityMatrix,
-    x: ProductOperator,
-    y: ProductOperator,
-    alpha: PermutationAction,
-) -> float:
-    """One right-hand-side term of the subset-swap inequality.
-
-    sqrt( Tr[rho A_a A_a^dag] * Tr[rho B_a B_a^dag] ) with
-    (A_a, B_a) = swap_on_subset(x, y, alpha); equals the factorized value
-    of the corresponding two-copy trace.
-    """
-    a, b = swap_on_subset(x, y, alpha)
-    ta = max(sandwich_trace(rho, a), 0.0)
-    tb = max(sandwich_trace(rho, b), 0.0)
-    return float(np.sqrt(ta * tb))
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +326,8 @@ class Theorem1Evaluator:
     def traces(self, rho: State | Mixture) -> Theorem1Traces:
         """Bundle of a dense, pure or white-noise state (`tensor.State`), or
         of a `Mixture`: the weighted sum of its components' bundles."""
+        if rho.dims.dims != self.dims.dims:
+            raise ValueError("state dims do not match probe dims")
         if isinstance(rho, Mixture):
             return Theorem1Traces.combine([self._traces(c) for c in rho.components], rho.weights)
         return self._traces(rho)
@@ -409,9 +376,7 @@ class Theorem1Evaluator:
             degenerate=self.degenerate,
         )
 
-    def evaluate(self, rho: State, k: int) -> CriterionReport:
-        if rho.dims.dims != self.dims.dims:
-            raise ValueError("state dims do not match probe dims")
+    def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
         return self.report(self.traces(rho), k)
 
 
@@ -542,37 +507,21 @@ class Theorem2Evaluator:
             degenerate=self.degenerate,
         )
 
-    def evaluate(self, rho: State, k: int) -> CriterionReport:
+    def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
         return self.report(self.traces(rho), k)
 
 
-class Theorem2K1Evaluator:
-    """Per-tuple k = 1 variant; see the module docstring caveat."""
+class Theorem2K1Evaluator(Theorem2Evaluator):
+    """Per-tuple k = 1 variant of the site-probe criterion: its margin is
+    the largest tuple margin; see the module docstring caveat."""
 
     theorem = "T2_k1"
-
-    def __init__(
-        self,
-        x: ProductOperator,
-        omegas: Sequence[np.ndarray],
-        aggregation: str = "max",
-    ):
-        if aggregation not in ("max", "sum"):
-            raise ValueError(f"aggregation must be 'max' or 'sum', got {aggregation!r}")
-        self._inner = Theorem2Evaluator(x, omegas)
-        self.aggregation = aggregation
-        self.dims = self._inner.dims
-        self.degenerate = self._inner.degenerate
-
-    def traces(self, rho: State) -> Theorem2Traces:
-        return self._inner.traces(rho)
 
     def _evaluate(self, traces: Theorem2Traces, k: int) -> tuple[Margins, np.ndarray]:
         """Margins plus every tuple margin |cross|^2 - base * pair."""
         if k != 1:
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k}")
-        flat = (*np.shape(traces.base), -1)
-        listed = self._inner._listed
+        flat, listed = (*np.shape(traces.base), -1), self._listed
         base = np.maximum(traces.base, 0.0)
         lhs = (np.abs(traces.cross) ** 2).reshape(flat).take(listed, axis=-1)
         rhs = base[..., None] * np.maximum(traces.pair, 0.0).reshape(flat).take(listed, axis=-1)
@@ -582,24 +531,13 @@ class Theorem2K1Evaluator:
         lhs_w, rhs_w, margin = (
             np.take_along_axis(a, best, axis=-1)[..., 0] for a in (lhs, rhs, tuples)
         )
-        scale = np.maximum(lhs_w, rhs_w)
-        if self.aggregation == "sum":
-            # added one at a time in tuple order
-            margin = np.cumsum(tuples, axis=-1)[..., -1]
-            scale = np.maximum(np.sum(lhs, axis=-1), np.sum(rhs, axis=-1))
-        detected = certified(margin, scale, lhs.shape[-1], self.dims.total_dim)
+        detected = certified(margin, np.maximum(lhs_w, rhs_w), lhs.shape[-1], self.dims.total_dim)
         return Margins(lhs_w, rhs_w, margin, detected), tuples
-
-    def margins(self, traces: Theorem2Traces, k: int = 1) -> Margins:
-        return self._evaluate(traces, k)[0]
 
     def report(self, traces: Theorem2Traces, k: int = 1, include_terms: bool = True) -> CriterionReport:
         m, tuples = self._evaluate(traces, k)
         n, big_t = traces.n, traces.n_omega
-        if self.aggregation == "max":
-            witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
-        else:
-            witness = "sum_margin"
+        witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
         terms = ((witness, float(m.margin)),)
         if include_terms:
             terms += tuple(zip(_tuple_labels("margin", n, big_t), tuples.tolist()))
@@ -613,36 +551,6 @@ class Theorem2K1Evaluator:
             terms=terms,
             degenerate=self.degenerate,
         )
-
-    def evaluate(self, rho: State, k: int = 1) -> CriterionReport:
-        return self.report(self.traces(rho), k)
-
-
-def theorem1_margin(
-    rho: DensityMatrix, x: ProductOperator, y: ProductOperator, k: int
-) -> CriterionReport:
-    """Evaluate the subset-swap criterion; positive margin detects <k."""
-    return Theorem1Evaluator(x, y).evaluate(rho, k)
-
-
-def theorem2_margin(
-    rho: DensityMatrix,
-    x: ProductOperator,
-    omega: Sequence[np.ndarray],
-    k: int,
-) -> CriterionReport:
-    """Evaluate the summed site-probe criterion; positive margin detects <k."""
-    return Theorem2Evaluator(x, omega).evaluate(rho, k)
-
-
-def theorem2_k1_margin(
-    rho: DensityMatrix,
-    x: ProductOperator,
-    omega: Sequence[np.ndarray],
-    aggregation: str = "max",
-) -> CriterionReport:
-    """Evaluate the per-tuple k = 1 variant (see module docstring caveat)."""
-    return Theorem2K1Evaluator(x, omega, aggregation).evaluate(rho)
 
 
 # --------------------------------------------------------------------------

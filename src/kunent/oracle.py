@@ -5,28 +5,27 @@ doubled operators are assembled explicitly, so this is the slow reference
 path used to validate the factorized single-copy kernels in `criteria`.
 
 The adopted factor-exchange reading of the permutations is implemented
-directly.  The rejected matrix-product reading (the permutation taken as a
-subsystem-swap matrix acting by multiplication) is available behind
-``reading="matrix"`` purely to document the discrepancy: for a pure state
-and the full swap it yields <XX^dag><YY^dag> instead of the left-hand-side
-value |<psi|Y X^dag|psi>|^2.
+directly: the permutation is applied to the operator pair.  The rejected
+matrix-product reading (a subsystem-swap matrix acting by multiplication)
+would give <XX^dag><YY^dag> for a pure state and the full swap instead of
+the left-hand-side value |<psi|Y X^dag|psi>|^2; `tests/test_oracle.py`
+builds that matrix to show the discrepancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
 from .config import ORACLE_DIM_CAP
 from .criteria import (
     PermutationAction,
+    Theorem1Evaluator,
     Theorem2Evaluator,
     swap_on_subset,
-    theorem1_margin,
 )
-from .states import product_pure_state, random_partition
+from .states import random_k_unentangled_terms, random_mixed_state, random_product_operator
 from .tensor import (
     DensityMatrix,
     ProductOperator,
@@ -39,7 +38,6 @@ from .tensor import (
 __all__ = [
     "doubled_term",
     "doubled_lhs",
-    "swap_matrix",
     "verify_proof_chain",
     "factorization_check",
     "oracle_check",
@@ -55,54 +53,25 @@ def _check_oracle_cap(rho: DensityMatrix, cap: int) -> None:
         )
 
 
-def swap_matrix(dims: SiteDims, alpha: PermutationAction) -> np.ndarray:
-    """Permutation matrix on H (x) H exchanging the alpha sites of the copies."""
-    n = dims.n
-    if any(i > n for i in alpha.subset):
-        raise ValueError(f"subset {sorted(alpha.subset)} out of range 1..{n}")
-    d2 = dims.total_dim**2
-    joint = dims.dims + dims.dims
-    perm_axes = [
-        (i + n if (i + 1) in alpha.subset else i) for i in range(n)
-    ] + [
-        (i if (i + 1) in alpha.subset else i + n) for i in range(n)
-    ]
-    src = np.arange(d2).reshape(joint)
-    targets = np.transpose(src, perm_axes).reshape(-1)
-    mat = np.zeros((d2, d2))
-    mat[targets, np.arange(d2)] = 1.0
-    return mat
-
-
 def doubled_term(
     rho: DensityMatrix,
     x: ProductOperator,
     y: ProductOperator,
     alpha: PermutationAction,
     *,
-    reading: str = "action",
     cap: int = ORACLE_DIM_CAP,
 ) -> complex:
     """Tr[(X^dag x Y^dag) P_a^dag rho^(x2) P_a (X x Y)] assembled literally.
 
-    With the adopted ``reading="action"`` the permutation is applied to the
-    operator pair first: the value is Tr[(A^dag x B^dag) rho^(x2) (A x B)]
-    for (A, B) = swap_on_subset(x, y, alpha).  ``reading="matrix"`` instead
-    multiplies by the subsystem-swap permutation matrix (rejected reading,
-    kept for comparison only).
+    The permutation is applied to the operator pair first: the value is
+    Tr[(A^dag x B^dag) rho^(x2) (A x B)] for (A, B) = swap_on_subset(x, y, alpha).
     """
     _check_oracle_cap(rho, cap)
     rr = np.kron(rho.mat, rho.mat)
-    if reading == "action":
-        a, b = swap_on_subset(x, y, alpha)
-        m = np.kron(assemble(a), assemble(b))
-        # Tr[M^dag RR M] evaluated as <M, RR M> to save one big matmul
-        return complex(np.einsum("ij,ij->", m.conj(), rr @ m))
-    if reading == "matrix":
-        p = swap_matrix(rho.dims, alpha)
-        m = np.kron(assemble(x), assemble(y))
-        return complex(np.trace(m.conj().T @ p.T @ rr @ p @ m))
-    raise ValueError(f"reading must be 'action' or 'matrix', got {reading!r}")
+    a, b = swap_on_subset(x, y, alpha)
+    m = np.kron(assemble(a), assemble(b))
+    # Tr[M^dag RR M] evaluated as <M, RR M> to save one big matmul
+    return complex(np.einsum("ij,ij->", m.conj(), rr @ m))
 
 
 def doubled_lhs(
@@ -110,7 +79,6 @@ def doubled_lhs(
     x: ProductOperator,
     y: ProductOperator,
     *,
-    reading: str = "action",
     cap: int = ORACLE_DIM_CAP,
 ) -> complex:
     """Left-hand-side two-copy trace Tr[(X^dag x Y^dag) rho^(x2) P (X x Y)].
@@ -121,13 +89,7 @@ def doubled_lhs(
     _check_oracle_cap(rho, cap)
     rr = np.kron(rho.mat, rho.mat)
     left = np.kron(assemble(x).conj().T, assemble(y).conj().T)
-    if reading == "action":
-        right = np.kron(assemble(y), assemble(x))
-    elif reading == "matrix":
-        p = swap_matrix(rho.dims, PermutationAction(frozenset(range(1, rho.dims.n + 1))))
-        right = p @ np.kron(assemble(x), assemble(y))
-    else:
-        raise ValueError(f"reading must be 'action' or 'matrix', got {reading!r}")
+    right = np.kron(assemble(y), assemble(x))
     return complex(np.einsum("ij,ji->", left, rr @ right))
 
 
@@ -176,39 +138,6 @@ class ProofChainReport:
         }
 
 
-def _random_product_operator(dims: SiteDims, rng: np.random.Generator) -> ProductOperator:
-    factors = tuple(
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for d in dims.dims
-    )
-    return ProductOperator(dims, factors)
-
-
-def _random_unentangled_ensemble(
-    dims: SiteDims, k: int, terms: int, rng: np.random.Generator
-) -> list[tuple[float, np.ndarray]]:
-    """Mixture weights and component vectors, each with >= k unentangled sites."""
-    weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.array([1.0])
-    comps = []
-    for w in weights:
-        part = random_partition(dims.n, k, rng)
-        kets = []
-        for block in part.blocks:
-            dim = prod(dims.dims[s - 1] for s in sorted(block))
-            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            kets.append(z / np.linalg.norm(z))
-        comps.append((float(w), product_pure_state(dims, part, kets).amplitudes))
-    return comps
-
-
-def _random_mixed_state(dims: SiteDims, rng: np.random.Generator, rank: int = 3) -> DensityMatrix:
-    d = dims.total_dim
-    m = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = m @ m.conj().T
-    mat /= np.trace(mat).real
-    return DensityMatrix(dims, mat, _check_psd=False)
-
-
 def factorization_check(
     trials: int = 50,
     seed: int = 0,
@@ -233,9 +162,9 @@ def factorization_check(
     for n, d in shapes:
         dims = SiteDims((d,) * n)
         for _ in range(trials):
-            rho = _random_mixed_state(dims, rng, rank=int(rng.integers(1, 4)))
-            x = _random_product_operator(dims, rng)
-            y = _random_product_operator(dims, rng)
+            rho = random_mixed_state(dims, rng, rank=int(rng.integers(1, 4)))
+            x = random_product_operator(dims, rng)
+            y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
             alpha = PermutationAction(
                 frozenset(i + 1 for i in range(n) if mask >> i & 1)
@@ -320,21 +249,21 @@ def verify_proof_chain(
     for trial in range(n_trials):
         k = int(rng.integers(1, n))
         terms = int(rng.integers(1, 5))
-        ensemble = _random_unentangled_ensemble(dims, k, terms, rng)
-        mats = [np.outer(v, v.conj()) for _, v in ensemble]
+        weights, amplitudes = random_k_unentangled_terms(dims, k, terms, rng)
+        mats = [np.outer(v, v.conj()) for v in amplitudes]
         if trial % 10 == 9:
             # near-degenerate stress case: rank-1 dominated mixture
             weights = [1.0 - 1e-13, 1e-13]
             mats = [mats[0], mm]
         else:
-            weights = [w for w, _ in ensemble]
+            weights = weights.tolist()
         mixed = sum(w * m for w, m in zip(weights, mats))
         components = [DensityMatrix(dims, m, _check_psd=False) for m in mats]
         rho = DensityMatrix(dims, mixed, _check_psd=False)
         pure = components[0]
 
-        x = _random_product_operator(dims, rng)
-        y = _random_product_operator(dims, rng)
+        x = random_product_operator(dims, rng)
+        y = random_product_operator(dims, rng)
 
         # --- subset-swap criterion chain ---
         lhs_mixed = abs(cross_trace(rho, x, y))
@@ -344,7 +273,7 @@ def verify_proof_chain(
         scale = max(1.0, lhs_mixed, triangle_rhs)
         report.step("t1-mixture-triangle").record((triangle_rhs - lhs_mixed) / scale, tol)
 
-        rep = theorem1_margin(pure, x, y, k)
+        rep = Theorem1Evaluator(x, y).evaluate(pure, k)
         scale = max(1.0, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
         report.step("t1-pure-bound").record(-rep.margin / scale, tol)
 

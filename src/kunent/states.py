@@ -1,9 +1,9 @@
 """Constructors for the benchmark states and white-noise families.
 
 Includes the n-qubit GHZ state, the qudit W state and its level-shifted
-partner, convex white-noise mixtures, and a seeded generator of states that
-contain at least k unentangled particles (used for soundness testing of the
-detection criteria).
+partner, convex white-noise mixtures, and the seeded random instances that
+soundness tests and the oracle draw: states that contain at least k
+unentangled particles, mixed states and product probes.
 """
 
 from __future__ import annotations
@@ -14,10 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import DensityMatrix, PureState, SiteDims, WhiteNoise, qubits, qudits
+from .tensor import (
+    DensityMatrix,
+    ProductOperator,
+    PureState,
+    SiteDims,
+    WhiteNoise,
+    qubits,
+    qudits,
+)
 
 __all__ = [
-    "Partition",
     "NoiseFamily",
     "ghz",
     "w_state",
@@ -27,36 +34,12 @@ __all__ = [
     "component_weights",
     "mix",
     "random_k_unentangled",
+    "random_k_unentangled_terms",
+    "random_mixed_state",
+    "random_product_operator",
     "ghz_noise_family",
     "w_noise_family",
 ]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty blocks of sites covering {1..n}."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if any(not b for b in blocks):
-            raise ValueError("partition blocks must be nonempty")
-        union: set[int] = set()
-        total = 0
-        for b in blocks:
-            union |= b
-            total += len(b)
-        if total != len(union):
-            raise ValueError("partition blocks must be pairwise disjoint")
-        n = len(union)
-        if union != set(range(1, n + 1)):
-            raise ValueError(f"blocks must cover 1..{n}, got union {sorted(union)}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
 
 def ghz(n: int) -> PureState:
@@ -231,11 +214,6 @@ def _random_blocks(n: int, k: int, rng: np.random.Generator) -> list[list[int]]:
     return [[s] for s in singles] + [[s for s in range(n) if s not in singles]]
 
 
-def random_partition(n: int, k: int, rng: np.random.Generator) -> Partition:
-    """k singleton blocks plus one (n-k)-site block, singletons uniform."""
-    return Partition(tuple(frozenset(s + 1 for s in b) for b in _random_blocks(n, k, rng)))
-
-
 def _product_amplitudes(dims: Sequence[int], blocks, kets) -> np.ndarray:
     """Amplitudes of the product of one ket per block of sorted 0-based
     sites, laid out in site order."""
@@ -247,39 +225,44 @@ def _product_amplitudes(dims: Sequence[int], blocks, kets) -> np.ndarray:
     return full.reshape([dims[s] for s in order]).transpose(np.argsort(order)).reshape(-1)
 
 
-def product_pure_state(
-    dims: SiteDims, partition: Partition, block_kets: Sequence[np.ndarray]
-) -> PureState:
-    """Tensor product of per-block states, laid out in site order."""
-    if partition.n != dims.n:
-        raise ValueError("partition does not cover the system")
-    if len(block_kets) != len(partition.blocks):
-        raise ValueError("need one block state per partition block")
-    blocks = [[s - 1 for s in sorted(block)] for block in partition.blocks]
-    kets = [np.asarray(ket, dtype=complex) for ket in block_kets]
-    if any(prod(dims.dims[s] for s in b) != ket.size for b, ket in zip(blocks, kets)):
-        raise ValueError("block state size does not match block dimensions")
-    return PureState(dims, _product_amplitudes(dims.dims, blocks, kets))
-
-
-def random_k_unentangled(
-    dims: SiteDims, k: int, terms: int, seed: int
-) -> DensityMatrix:
-    """Seeded random state containing at least k unentangled particles.
-
-    Convex mixture of `terms` pure states, each of the form
-    |a_1> x .. x |a_k> x |b> for an independently drawn partition
-    (k uniform singletons + one (n-k)-site block) and random component
-    states; mixture weights are drawn from a flat simplex.  The terms are
-    mixed as `Mixture.dense` mixes them, without a `PureState` per term.
-    """
+def random_k_unentangled_terms(
+    dims: SiteDims, k: int, terms: int, rng: np.random.Generator
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Flat-simplex weights and the amplitudes of `terms` random pure states,
+    each |a_1> x .. x |a_k> x |b> on an independently drawn partition
+    (k uniform singletons + one (n-k)-site block), laid out in site order."""
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.array([1.0])
     amplitudes = []
     for _ in weights:
         blocks = _random_blocks(dims.n, k, rng)
         kets = [_random_ket(prod(dims.dims[s] for s in b), rng) for b in blocks]
         amplitudes.append(_product_amplitudes(dims.dims, blocks, kets))
+    return weights, amplitudes
+
+
+def random_k_unentangled(
+    dims: SiteDims, k: int, terms: int, seed: int
+) -> DensityMatrix:
+    """Seeded random state containing at least k unentangled particles: the
+    mixture of `random_k_unentangled_terms`, mixed as `Mixture.dense` mixes
+    them, without a `PureState` per term."""
+    weights, amplitudes = random_k_unentangled_terms(dims, k, terms, np.random.default_rng(seed))
     return _dense_mixture(dims, component_weights(weights), amplitudes)
+
+
+def random_product_operator(dims: SiteDims, rng: np.random.Generator) -> ProductOperator:
+    """Product operator with complex Gaussian factors."""
+    return ProductOperator(dims, tuple(
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims.dims
+    ))
+
+
+def random_mixed_state(dims: SiteDims, rng: np.random.Generator, rank: int = 3) -> DensityMatrix:
+    """m m^dag / Tr[m m^dag] for a complex Gaussian D x rank matrix m."""
+    d = dims.total_dim
+    m = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = m @ m.conj().T
+    mat /= np.trace(mat).real
+    return DensityMatrix(dims, mat)

@@ -50,7 +50,6 @@ __all__ = [
     "WhiteNoise",
     "qubits",
     "qudits",
-    "kron",
     "assemble",
     "product_trace",
     "sandwich_trace",
@@ -84,11 +83,10 @@ class SiteDims:
             raise ValueError(f"need at least 2 sites, got {len(dims)}")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
+        # every d_i >= 2, so past cap.bit_length() sites the product is over the cap
         cap = dim_cap()
-        if prod(dims) > cap:
-            raise ValueError(
-                f"total dimension {prod(dims)} exceeds the dense-matrix cap {cap}"
-            )
+        if len(dims) > cap.bit_length() or prod(dims) > cap:
+            raise ValueError(_over_cap(len(dims), cap))
 
     @property
     def n(self) -> int:
@@ -106,13 +104,21 @@ class SiteDims:
         return d
 
 
+def _over_cap(n: int, cap: int) -> str:
+    return f"N={n} sites exceed the dense-matrix cap {cap} on the total dimension"
+
+
 def qubits(n: int) -> SiteDims:
     """Shorthand for n qubit sites."""
-    return SiteDims((2,) * n)
+    return qudits(n, 2)
 
 
 def qudits(n: int, d: int) -> SiteDims:
-    """Shorthand for n sites of dimension d."""
+    """Shorthand for n sites of dimension d; an n past the cap is rejected
+    before the n-tuple is built."""
+    cap = dim_cap()
+    if n > cap.bit_length():
+        raise ValueError(_over_cap(n, cap))
     return SiteDims((d,) * n)
 
 
@@ -233,18 +239,6 @@ class WhiteNoise:
 State = Union[DensityMatrix, PureState, WhiteNoise]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the configured size cap enforced."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    rows = a.shape[0] * b.shape[0]
-    if rows > dim_cap():
-        raise ValueError(
-            f"Kronecker product of size {rows} exceeds the dense-matrix cap {dim_cap()}"
-        )
-    return np.kron(a, b)
-
-
 def assemble(op: ProductOperator) -> np.ndarray:
     """Dense D x D matrix f_1 x f_2 x .. x f_N (site 1 most significant)."""
     return reduce(np.kron, op.factors)
@@ -256,18 +250,6 @@ def _check_dims(rho: State, *ops: ProductOperator) -> None:
             raise ValueError(
                 f"operator dims {op.dims.dims} do not match state dims {rho.dims.dims}"
             )
-
-
-def _contract_leading_site(mat: np.ndarray, d: int, g: np.ndarray) -> np.ndarray:
-    """Partial trace of `g` against the leading site of an operator block.
-
-    `mat` is (d*R, d*R) over sites (s, s+1..N); returns the (R, R) block
-    rho'[r, c] = sum_{a,b} mat[(a,r),(b,c)] g[b,a], so that
-    Tr[mat (g x G)] == Tr[rho' G] for every G.
-    """
-    rest = mat.shape[0] // d
-    view = mat.reshape(d, rest, d, rest)
-    return np.einsum("arbs,ba->rs", view, g)
 
 
 def _apply_site(psi: np.ndarray, site: int, g: np.ndarray) -> np.ndarray:
@@ -297,7 +279,10 @@ def _site_contraction(rho: State):
     dims = rho.dims.dims
     return (
         rho.mat,
-        lambda acc, site, g: _contract_leading_site(acc, dims[site], g),
+        # acc is (d*R, d*R) over sites site..N; rho'[r, s] = sum_ab acc[(a,r),(b,s)] g[b,a]
+        lambda acc, site, g: np.einsum(
+            "arbs,ba->rs", acc.reshape(dims[site], len(acc) // dims[site], dims[site], -1), g
+        ),
         lambda acc: acc[0, 0],
     )
 

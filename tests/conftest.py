@@ -1,29 +1,16 @@
-"""Shared random-instance helpers for the test suite."""
+"""Shared random-instance helpers for the test suite.
+
+Random mixed states and product probes come from the library's own seeded
+generators in `kunent.states`, which the oracle draws from too.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from kunent import DensityMatrix, ProductOperator, SiteDims
-
-
-def random_product_operator(dims: SiteDims, rng: np.random.Generator) -> ProductOperator:
-    return ProductOperator(
-        dims,
-        tuple(
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in dims.dims
-        ),
-    )
-
-
-def random_mixed_state(dims: SiteDims, rng: np.random.Generator, rank: int = 3) -> DensityMatrix:
-    d = dims.total_dim
-    m = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = m @ m.conj().T
-    mat /= np.trace(mat).real
-    return DensityMatrix(dims, mat)
+from kunent import SiteDims
+from kunent.states import random_mixed_state, random_product_operator  # noqa: F401
 
 
 def random_pure_product(dims: SiteDims, rng: np.random.Generator) -> np.ndarray:

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from kunent import ghz_noise_closed_form, example2_closed_form
 from kunent.cli import main, parse_state_spec
+from kunent.config import dim_cap
 from kunent.serialize import matrix_to_dict, save_density_matrix
 
 from conftest import random_mixed_state
@@ -140,6 +142,19 @@ class TestEval:
         )
         assert code == 2
         assert "do not match" in err
+
+    @pytest.mark.parametrize("spec", [
+        "ghz:10000000000", "ghz:1000000000000000000000", "w:1000000000000000000000:2",
+        "ghz:1000000", "ghz:5000",
+    ])
+    def test_oversized_site_count_exit_2(self, capsys, spec):
+        # rejected before an N-tuple or the product of N dimensions is built
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "eval", "--rho", spec)
+        assert perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        n = spec.split(":")[1]
+        assert f"N={n} sites exceed the dense-matrix cap {dim_cap()}" in err
 
     @pytest.mark.parametrize("broken", ["rho", "rho_entry", "x_entry", "omega"])
     def test_malformed_json_inputs_exit_2(self, capsys, tmp_path, broken):

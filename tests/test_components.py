@@ -247,7 +247,8 @@ def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarr
 BITWISE_DIMS = [(2,) * n for n in range(3, 9)] + [(2, 3, 4), (3, 2, 2, 3), (4,) * 4]
 
 # SHA-256 of random_k_unentangled(dims, k, terms, seed).mat.tobytes(), as
-# built through Partition, PureState and Mixture objects per term
+# built through Partition, PureState and Mixture objects per term by an
+# earlier version; they pin the site-order layout of every term
 STATE_DIGESTS = [
     ((2, 2, 2), 1, 4, 0, "0fc8e7feda4e483735854eab8cac0be58eabffe1e5eff360221bbdc8a1e515a3"),
     ((2, 2, 2, 2), 3, 4, 11, "c73161aa0e66b87f03010e592f83e3e19103be9b104fa3cc3a363b168c71c481"),
@@ -308,7 +309,6 @@ def family_margins():
         ("w-T2", FamilyMargin(w, Theorem2Evaluator(x, om)), range(1, 4)),
         ("wtilde-T2", FamilyMargin(w, Theorem2Evaluator(xt, omt)), range(1, 4)),
         ("w-T2_k1", FamilyMargin(w, Theorem2K1Evaluator(x, om)), [1]),
-        ("w-T2_k1-sum", FamilyMargin(w, Theorem2K1Evaluator(x, om, "sum")), [1]),
         ("rand-T1", FamilyMargin(rand, evaluators("T1", rand.dims, rng)), range(1, 4)),
         ("rand-T2", FamilyMargin(rand, evaluators("T2", rand.dims, rng)), range(1, 4)),
     ]

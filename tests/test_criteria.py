@@ -20,12 +20,7 @@ from kunent import (
     qubits,
     qudits,
     sandwich_trace,
-    site_substituted_operator,
     swap_on_subset,
-    theorem1_margin,
-    theorem1_term,
-    theorem2_k1_margin,
-    theorem2_margin,
     w_noise_family,
     w_probe,
     w_state,
@@ -40,6 +35,13 @@ from conftest import random_mixed_state, random_product_operator, random_pure_pr
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+
+def theorem1_term(rho, x, y, alpha) -> float:
+    """One rhs term of the subset-swap inequality, sqrt(Tr[rho A A^dag] *
+    Tr[rho B B^dag]) for (A, B) = swap_on_subset(x, y, alpha)."""
+    a, b = swap_on_subset(x, y, alpha)
+    return float(np.sqrt(max(sandwich_trace(rho, a), 0.0) * max(sandwich_trace(rho, b), 0.0)))
 
 
 class TestSwapOnSubset:
@@ -86,14 +88,14 @@ class TestSiteSubstitution:
     def test_identity_substitution(self):
         dims = qubits(3)
         x = ProductOperator.identity(dims)
-        out = site_substituted_operator(x, 2, I2)
+        out = x.replace_factor(2, I2)
         for f in out.factors:
             assert_allclose(f, I2)
 
     def test_single_substitution(self):
         dims = qubits(3)
         x = ProductOperator(dims, (KET0, KET0, KET0))
-        out = site_substituted_operator(x, 2, RAISE)
+        out = x.replace_factor(2, RAISE)
         assert_allclose(out.factors[0], KET0)
         assert_allclose(out.factors[1], RAISE)
         assert_allclose(out.factors[2], KET0)
@@ -103,15 +105,15 @@ class TestSiteSubstitution:
         x = random_product_operator(dims, rng)
         w1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         w2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        ab = site_substituted_operator(site_substituted_operator(x, 1, w1), 3, w2)
-        ba = site_substituted_operator(site_substituted_operator(x, 3, w2), 1, w1)
+        ab = x.replace_factor(1, w1).replace_factor(3, w2)
+        ba = x.replace_factor(3, w2).replace_factor(1, w1)
         for fa, fb in zip(ab.factors, ba.factors):
             assert_allclose(fa, fb, atol=0)
 
     def test_dimension_mismatch(self):
         x = ProductOperator.identity(qubits(2))
         with pytest.raises(ValueError, match="2x2"):
-            site_substituted_operator(x, 1, np.eye(3))
+            x.replace_factor(1, np.eye(3))
 
 
 class TestTheorem1Term:
@@ -151,7 +153,7 @@ class TestTheorem1Margin:
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             n = dims.n
-            rep = theorem1_margin(rho, x, y, 1)
+            rep = Theorem1Evaluator(x, y).evaluate(rho, 1)
             direct = 0.0
             for mask in range(1, (1 << n) - 1):
                 alpha = PermutationAction(
@@ -164,11 +166,11 @@ class TestTheorem1Margin:
         fam = ghz_noise_family(8)
         x, y = ghz_probe(fam.dims)
         # published threshold p_1 = 0.4980 (4-decimal rounding)
-        assert theorem1_margin(fam.evaluate(0.4981), x, y, 1).detected
-        assert not theorem1_margin(fam.evaluate(0.4979), x, y, 1).detected
+        assert Theorem1Evaluator(x, y).evaluate(fam.evaluate(0.4981), 1).detected
+        assert not Theorem1Evaluator(x, y).evaluate(fam.evaluate(0.4979), 1).detected
         # k = 3: 0.1241
-        assert theorem1_margin(fam.evaluate(0.1243), x, y, 3).detected
-        assert not theorem1_margin(fam.evaluate(0.1239), x, y, 3).detected
+        assert Theorem1Evaluator(x, y).evaluate(fam.evaluate(0.1243), 3).detected
+        assert not Theorem1Evaluator(x, y).evaluate(fam.evaluate(0.1239), 3).detected
 
     def test_product_state_soundness(self, rng):
         dims = qubits(3)
@@ -177,7 +179,7 @@ class TestTheorem1Margin:
             rho = PureState(dims, amp).to_density_matrix()
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
-            rep = theorem1_margin(rho, x, y, 2)
+            rep = Theorem1Evaluator(x, y).evaluate(rho, 2)
             assert not rep.detected
 
     def test_scaling_covariance(self, rng):
@@ -188,8 +190,8 @@ class TestTheorem1Margin:
         c, cp = 2.5 - 1.5j, -0.25 + 3j
         x_scaled = ProductOperator(dims, (c * x.factors[0],) + x.factors[1:])
         y_scaled = ProductOperator(dims, y.factors[:2] + (cp * y.factors[2],))
-        base = theorem1_margin(rho, x, y, 2)
-        scaled = theorem1_margin(rho, x_scaled, y_scaled, 2)
+        base = Theorem1Evaluator(x, y).evaluate(rho, 2)
+        scaled = Theorem1Evaluator(x_scaled, y_scaled).evaluate(rho, 2)
         factor = abs(c) * abs(cp)
         assert scaled.margin == pytest.approx(base.margin * factor, rel=1e-10)
         assert scaled.detected == base.detected
@@ -232,14 +234,14 @@ class TestTheorem1Margin:
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         with pytest.raises(ValueError, match="k must"):
-            theorem1_margin(rho, x, x, 3)
+            Theorem1Evaluator(x, x).evaluate(rho, 3)
 
     def test_degenerate_probe_flagged(self, rng):
         dims = qubits(2)
         rho = random_mixed_state(dims, rng)
         zero = ProductOperator(dims, (np.zeros((2, 2)), I2))
         y = random_product_operator(dims, rng)
-        rep = theorem1_margin(rho, zero, y, 1)
+        rep = Theorem1Evaluator(zero, y).evaluate(rho, 1)
         assert rep.degenerate
         assert rep.lhs == 0.0
         assert rep.rhs == 0.0
@@ -252,15 +254,15 @@ class TestTheorem2Margin:
         x, om = w_probe(fam.dims)
         theta = example2_closed_form(5, 4, 4)  # 60/4156
         assert theta == pytest.approx(60 / 4156)
-        assert theorem2_margin(fam.evaluate(0.02, 0.0), x, om, 4).detected
-        assert not theorem2_margin(fam.evaluate(0.01, 0.0), x, om, 4).detected
+        assert Theorem2Evaluator(x, om).evaluate(fam.evaluate(0.02, 0.0), 4).detected
+        assert not Theorem2Evaluator(x, om).evaluate(fam.evaluate(0.01, 0.0), 4).detected
 
     def test_rejects_unequal_dims(self, rng):
         dims = SiteDims((2, 3))
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         with pytest.raises(ValueError, match="unequal"):
-            theorem2_margin(rho, x, [np.eye(2)], 1)
+            Theorem2Evaluator(x, [np.eye(2)]).evaluate(rho, 1)
 
     def test_k_range(self, rng):
         dims = qubits(3)
@@ -268,16 +270,16 @@ class TestTheorem2Margin:
         x = random_product_operator(dims, rng)
         om = [np.eye(2)]
         with pytest.raises(ValueError, match="k must"):
-            theorem2_margin(rho, x, om, 3)
+            Theorem2Evaluator(x, om).evaluate(rho, 3)
         with pytest.raises(ValueError, match="k must"):
-            theorem2_margin(rho, x, om, 0)
+            Theorem2Evaluator(x, om).evaluate(rho, 0)
 
     def test_omega_shape_validated(self, rng):
         dims = qubits(3)
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         with pytest.raises(ValueError, match="omega"):
-            theorem2_margin(rho, x, [np.eye(3)], 1)
+            Theorem2Evaluator(x, [np.eye(3)]).evaluate(rho, 1)
 
     def test_product_state_soundness_all_k(self, rng):
         dims = qubits(4)
@@ -290,7 +292,7 @@ class TestTheorem2Margin:
                 for _ in range(2)
             ]
             for k in (1, 2, 3):
-                assert not theorem2_margin(rho, x, om, k).detected
+                assert not Theorem2Evaluator(x, om).evaluate(rho, k).detected
 
     def test_traces_match_direct_evaluation(self, rng):
         # cross-check the reduced-block fast path against naive dense traces
@@ -311,17 +313,17 @@ class TestTheorem2Margin:
                     for j in range(3):
                         if i == j:
                             continue
-                        x_i = site_substituted_operator(x, i + 1, om[s])
-                        x_j = site_substituted_operator(x, j + 1, om[t])
+                        x_i = x.replace_factor(i + 1, om[s])
+                        x_j = x.replace_factor(j + 1, om[t])
                         assert tr.cross[s, t, i, j] == pytest.approx(
                             cross_trace(rho, x_i, x_j), rel=1e-10, abs=1e-12
                         )
-                        x_ij = site_substituted_operator(x_i, j + 1, om[t])
+                        x_ij = x_i.replace_factor(j + 1, om[t])
                         assert tr.pair[s, t, i, j] == pytest.approx(
                             sandwich_trace(rho, x_ij), rel=1e-10, abs=1e-12
                         )
             for i in range(3):
-                x_i = site_substituted_operator(x, i + 1, om[s])
+                x_i = x.replace_factor(i + 1, om[s])
                 assert tr.site[s, i] == pytest.approx(
                     sandwich_trace(rho, x_i), rel=1e-10, abs=1e-12
                 )
@@ -335,7 +337,7 @@ class TestTheorem2K1:
         # vanishes because W has no all-zeros amplitude
         psi = w_state(3, 2)
         x = ProductOperator(psi.dims, (KET0,) * 3)
-        rep = theorem2_k1_margin(psi.to_density_matrix(), x, [RAISE])
+        rep = Theorem2K1Evaluator(x, [RAISE]).evaluate(psi.to_density_matrix(), 1)
         assert rep.lhs == pytest.approx(1 / 9)
         assert rep.rhs == 0.0
         assert rep.detected
@@ -347,14 +349,14 @@ class TestTheorem2K1:
             rho = PureState(dims, amp).to_density_matrix()
             x = random_product_operator(dims, rng)
             om = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
-            rep = theorem2_k1_margin(rho, x, om)
+            rep = Theorem2K1Evaluator(x, om).evaluate(rho, 1)
             assert not rep.detected
             assert rep.margin <= 1e-12
 
     def test_detects_w_noise_above_line(self):
         fam = w_noise_family(5, 4)
         x, om = w_probe(fam.dims)
-        rep = theorem2_k1_margin(fam.evaluate(0.10, 0.0), x, om)
+        rep = Theorem2K1Evaluator(x, om).evaluate(fam.evaluate(0.10, 0.0), 1)
         assert rep.detected
 
     def test_known_unsoundness_on_same_block_pairs(self):
@@ -368,22 +370,18 @@ class TestTheorem2K1:
         rho = PureState(dims, amp).to_density_matrix()
         x = ProductOperator.identity(dims)
         lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-        rep = theorem2_k1_margin(rho, x, [lower])
+        rep = Theorem2K1Evaluator(x, [lower]).evaluate(rho, 1)
         assert rep.detected
         assert rep.margin == pytest.approx(0.25)
 
-    def test_aggregation_modes(self, rng):
+    def test_margin_is_largest_tuple_margin(self, rng):
         dims = qubits(3)
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         om = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
-        rep_max = theorem2_k1_margin(rho, x, om, aggregation="max")
-        rep_sum = theorem2_k1_margin(rho, x, om, aggregation="sum")
-        per_tuple = [v for label, v in rep_max.terms if label.startswith("margin[")]
-        assert rep_max.margin == pytest.approx(max(per_tuple))
-        assert rep_sum.margin == pytest.approx(sum(per_tuple))
-        with pytest.raises(ValueError, match="aggregation"):
-            theorem2_k1_margin(rho, x, om, aggregation="median")
+        rep = Theorem2K1Evaluator(x, om).evaluate(rho, 1)
+        per_tuple = [v for label, v in rep.terms if label.startswith("margin[")]
+        assert rep.margin == pytest.approx(max(per_tuple))
 
 
 class TestCriterionReport:
@@ -392,8 +390,8 @@ class TestCriterionReport:
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        rep = theorem1_margin(rho, x, y, 1)
-        payload = json.loads(rep.to_json())
+        rep = Theorem1Evaluator(x, y).evaluate(rho, 1)
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert set(payload) == {
             "theorem", "k", "lhs", "rhs", "margin", "detected", "degenerate", "terms",
         }
@@ -412,7 +410,7 @@ class TestCriterionReport:
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        rep = theorem1_margin(rho, x, y, 1)
+        rep = Theorem1Evaluator(x, y).evaluate(rho, 1)
         allowance = DEFAULT_TOLERANCES.detection + summation_gamma(2 + 4) * max(
             2 * rep.lhs, rep.rhs
         )
@@ -426,7 +424,7 @@ class TestCriterionReport:
         x, om = w_probe(fam.dims)
         fm = FamilyMargin(fam, Theorem2Evaluator(x, om))
         for p, q in [(0.1, 0.0), (0.2, 0.3), (0.0, 0.9)]:
-            direct = theorem2_margin(fam.evaluate(p, q), x, om, 2).margin
+            direct = Theorem2Evaluator(x, om).evaluate(fam.evaluate(p, q), 2).margin
             assert fm.margin([p, q], 2) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 

@@ -11,6 +11,8 @@ from kunent import (
     ProductOperator,
     PureState,
     SiteDims,
+    Theorem1Evaluator,
+    assemble,
     cross_trace,
     doubled_lhs,
     doubled_term,
@@ -20,9 +22,31 @@ from kunent import (
     swap_on_subset,
     verify_proof_chain,
 )
-from kunent.oracle import factorization_check, swap_matrix
+from kunent.oracle import factorization_check
 
 from conftest import random_mixed_state, random_product_operator, random_pure_product
+
+
+def swap_matrix(dims: SiteDims, alpha: PermutationAction) -> np.ndarray:
+    """Permutation matrix on H (x) H exchanging the alpha sites of the copies."""
+    n = dims.n
+    d2 = dims.total_dim**2
+    perm_axes = [i + n if (i + 1) in alpha.subset else i for i in range(n)] + [
+        i if (i + 1) in alpha.subset else i + n for i in range(n)
+    ]
+    targets = np.transpose(np.arange(d2).reshape(dims.dims * 2), perm_axes).reshape(-1)
+    mat = np.zeros((d2, d2))
+    mat[targets, np.arange(d2)] = 1.0
+    return mat
+
+
+def matrix_reading_lhs(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> complex:
+    """Tr[(X^dag x Y^dag) rho^(x2) P (X x Y)] with P the full subsystem-swap
+    matrix acting by multiplication: the rejected reading of the permutation."""
+    p = swap_matrix(rho.dims, PermutationAction(frozenset(range(1, rho.dims.n + 1))))
+    left = np.kron(assemble(x).conj().T, assemble(y).conj().T)
+    right = p @ np.kron(assemble(x), assemble(y))
+    return complex(np.einsum("ij,ji->", left, np.kron(rho.mat, rho.mat) @ right))
 
 
 class TestDoubledTerm:
@@ -56,8 +80,6 @@ class TestDoubledTerm:
         rho = psi.to_density_matrix()
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        from kunent import assemble
-
         overlap = psi.amplitudes.conj() @ assemble(y) @ assemble(x).conj().T @ psi.amplitudes
         assert doubled_lhs(rho, x, y) == pytest.approx(abs(overlap) ** 2, rel=1e-10)
 
@@ -71,8 +93,6 @@ class TestDoubledTerm:
         )
 
     def test_theorem1_term_is_sqrt_of_doubled_value(self, rng):
-        from kunent import theorem1_term
-
         dims = SiteDims((2, 2, 2))
         for _ in range(10):
             rho = random_mixed_state(dims, rng)
@@ -80,7 +100,9 @@ class TestDoubledTerm:
             y = random_product_operator(dims, rng)
             alpha = PermutationAction.of(int(rng.integers(1, 4)))
             lit = doubled_term(rho, x, y, alpha)
-            assert theorem1_term(rho, x, y, alpha) == pytest.approx(
+            a, b = swap_on_subset(x, y, alpha)
+            term = np.sqrt(max(sandwich_trace(rho, a), 0.0) * max(sandwich_trace(rho, b), 0.0))
+            assert term == pytest.approx(
                 float(np.sqrt(max(lit.real, 0.0))), rel=1e-10, abs=1e-12
             )
 
@@ -100,7 +122,7 @@ class TestRejectedReading:
         rho = psi.to_density_matrix()
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        mat = doubled_lhs(rho, x, y, reading="matrix")
+        mat = matrix_reading_lhs(rho, x, y)
         assert mat == pytest.approx(
             sandwich_trace(rho, x) * sandwich_trace(rho, y), rel=1e-10
         )
@@ -113,8 +135,8 @@ class TestRejectedReading:
         rho = psi.to_density_matrix()
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        action = doubled_lhs(rho, x, y, reading="action")
-        matrix = doubled_lhs(rho, x, y, reading="matrix")
+        action = doubled_lhs(rho, x, y)
+        matrix = matrix_reading_lhs(rho, x, y)
         assert abs(action - matrix) > 1e-6
 
     def test_swap_matrix_is_involution(self):
@@ -123,18 +145,9 @@ class TestRejectedReading:
         assert np.array_equal(p @ p, np.eye(16))
         assert np.array_equal(p, p.T)
 
-    def test_unknown_reading_rejected(self, rng):
-        dims = qubits(2)
-        rho = random_mixed_state(dims, rng)
-        x = random_product_operator(dims, rng)
-        with pytest.raises(ValueError, match="reading"):
-            doubled_term(rho, x, x, PermutationAction(frozenset()), reading="banana")
-
 
 class TestProofChain:
     def test_pure_product_states_have_nonnegative_slack(self, rng):
-        from kunent import theorem1_margin
-
         dims = qubits(3)
         for _ in range(10):
             amp = random_pure_product(dims, rng)
@@ -142,7 +155,7 @@ class TestProofChain:
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             for k in (1, 2):
-                assert theorem1_margin(rho, x, y, k).margin <= 1e-10
+                assert Theorem1Evaluator(x, y).evaluate(rho, k).margin <= 1e-10
 
     def test_seeded_run_has_zero_failures(self):
         report = verify_proof_chain(100, seed=5)

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 from kunent import (
     DensityMatrix,
     Mixture,
-    Partition,
     ProductOperator,
+    Theorem1Evaluator,
     ghz,
     ghz_noise_family,
     mix,
@@ -22,13 +22,12 @@ from kunent import (
     random_k_unentangled,
     sandwich_trace,
     shift_sigma,
-    theorem1_margin,
     w_noise_family,
     w_state,
     w_tilde,
     WhiteNoise,
 )
-from kunent.states import component_weights, product_pure_state, random_partition
+from kunent.states import _product_amplitudes, _random_blocks, component_weights
 
 from conftest import random_product_operator
 
@@ -190,43 +189,21 @@ class TestNoiseFamilies:
 
 
 class TestPartition:
-    def test_valid(self):
-        part = Partition((frozenset({1}), frozenset({2, 3})))
-        assert part.n == 3
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            Partition((frozenset({1, 2}), frozenset({2, 3})))
-
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError, match="cover"):
-            Partition((frozenset({1}), frozenset({3})))
-
     def test_random_partition_shape(self, rng):
-        part = random_partition(5, 2, rng)
-        sizes = sorted(len(b) for b in part.blocks)
-        assert sizes == [1, 1, 3]
+        blocks = _random_blocks(5, 2, rng)
+        assert sorted(len(b) for b in blocks) == [1, 1, 3]
+        assert sorted(s for b in blocks for s in b) == list(range(5))
 
 
 class TestProductPureState:
     def test_site_order_restored(self, rng):
         # blocks {2} and {1,3}: the assembled state must live in site order
-        dims = qudits(3, 2)
-        part = Partition((frozenset({2}), frozenset({1, 3})))
         single = np.array([1.0, 0.0], dtype=complex)
         block = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)  # |0>|1> on (1,3)
-        psi = product_pure_state(dims, part, [single, block])
+        amp = _product_amplitudes((2, 2, 2), [[1], [0, 2]], [single, block])
         expected = np.zeros(8, dtype=complex)
         expected[0b001] = 1.0  # site1=0, site2=0, site3=1
-        assert_allclose(psi.amplitudes, expected)
-
-    def test_one_ket_per_block(self):
-        part = Partition((frozenset({2}), frozenset({1, 3})))
-        single = np.array([1.0, 0.0], dtype=complex)
-        block = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        for kets in ([single], [single, block, single]):
-            with pytest.raises(ValueError, match="one block state per partition block"):
-                product_pure_state(qudits(3, 2), part, kets)
+        assert_allclose(amp, expected)
 
 
 class TestRandomKUnentangled:
@@ -255,7 +232,7 @@ class TestRandomKUnentangled:
         for _ in range(5):
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
-            rep = theorem1_margin(rho, x, y, 3)
+            rep = Theorem1Evaluator(x, y).evaluate(rho, 3)
             assert not rep.detected
             assert rep.margin <= 1e-12
 

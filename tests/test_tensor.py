@@ -15,7 +15,6 @@ from kunent import (
     SiteDims,
     assemble,
     cross_trace,
-    kron,
     product_trace,
     qubits,
     WhiteNoise,
@@ -50,6 +49,14 @@ class TestSiteDims:
         with pytest.raises(ValueError, match="cap"):
             SiteDims((2,) * 13)  # 8192 > 4096
 
+    def test_site_count_checked_before_product(self):
+        # more sites than the cap has bits: no n-tuple, no product is formed
+        for n in (13, 5000, 10**21):
+            with pytest.raises(ValueError, match=f"N={n} sites exceed the dense-matrix cap 4096"):
+                qubits(n)
+        with pytest.raises(ValueError, match="N=5000 sites exceed"):
+            SiteDims((3,) * 5000)
+
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv(DIM_CAP_ENV_VAR, "16")
         with pytest.raises(ValueError, match="cap"):
@@ -63,23 +70,24 @@ class TestSiteDims:
 
 
 class TestKron:
+    """Two-site Kronecker products through `assemble`, site 1 most significant."""
+
+    @staticmethod
+    def kron(a, b):
+        return assemble(ProductOperator(qubits(2), (a, b)))
+
     def test_identity(self):
-        assert_allclose(kron(I2, I2), np.eye(4))
+        assert_allclose(self.kron(I2, I2), np.eye(4))
 
     def test_elementary(self):
-        out = kron(RAISE, RAISE)
+        out = self.kron(RAISE, RAISE)
         expected = np.zeros((4, 4))
         expected[3, 0] = 1.0
         assert_allclose(out, expected)
 
     def test_diagonal(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        out = self.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv(DIM_CAP_ENV_VAR, "8")
-        with pytest.raises(ValueError, match="cap"):
-            kron(np.eye(4), np.eye(4))
 
 
 class TestAssemble:
