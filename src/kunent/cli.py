@@ -30,8 +30,7 @@ from dataclasses import replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite, log2
-from os.path import commonprefix
-from pathlib import Path
+from os.path import commonprefix, isfile
 from typing import Sequence
 
 from .criteria import (
@@ -79,10 +78,11 @@ def _parse_params(text: str, allowed: Sequence[str]) -> dict[str, float]:
 def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
     """The state of a preset spec, held by its components (`Mixture`), or
     the density matrix in a JSON file."""
-    if Path(spec).is_file():
+    # False for a name too long for the file system, where Path.is_file raises
+    if isfile(spec):
         try:
             return spec, load_density_matrix(spec)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot load state from {spec}: {exc}") from exc
 
     head, _, rest = spec.partition(":")
@@ -392,10 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,6 +58,7 @@ from .tensor import (
     ProductOperator,
     SiteDims,
     State,
+    _frozen_complex,
     cross_trace,
     pair_reduced,
     subset_trace_sweep,
@@ -95,9 +96,6 @@ class PermutationAction:
     @staticmethod
     def of(*sites: int) -> "PermutationAction":
         return PermutationAction(frozenset(sites))
-
-    def label(self) -> str:
-        return "{" + ",".join(str(i) for i in sorted(self.subset)) + "}"
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,39 @@ def _t2_term_labels(n: int, big_t: int) -> tuple[str, ...]:
     )
 
 
-class Theorem1Evaluator:
+class _Criterion:
+    """What both criteria share; a subclass supplies one component's bundle
+    (`_traces`), the formula over one bundle or a batch (`_evaluate`,
+    `Margins` first) and the labelled terms of its `report`."""
+
+    theorem: str
+    dims: SiteDims
+    degenerate: bool
+
+    def traces(self, rho: State | Mixture):
+        """Bundle of a dense, pure or white-noise state (`tensor.State`), or
+        of a `Mixture`: the weighted sum of its components' bundles."""
+        if rho.dims.dims != self.dims.dims:
+            raise ValueError("state dims do not match probe dims")
+        if isinstance(rho, Mixture):
+            bundles = [self._traces(c) for c in rho.components]
+            return type(bundles[0]).combine(bundles, rho.weights)
+        return self._traces(rho)
+
+    def margins(self, traces, k: int) -> Margins:
+        return self._evaluate(traces, k)[0]
+
+    def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
+        return self.report(self.traces(rho), k)
+
+    def _report(self, m: Margins, k: int, terms) -> CriterionReport:
+        return CriterionReport(
+            self.theorem, k, float(m.lhs), float(m.rhs), float(m.margin),
+            bool(m.detected), tuple(terms), self.degenerate,
+        )
+
+
+class Theorem1Evaluator(_Criterion):
     """Subset-swap criterion for a fixed probe pair (X, Y)."""
 
     theorem = "T1"
@@ -323,14 +353,8 @@ class Theorem1Evaluator:
         self.dims = x.dims
         self.degenerate = x.is_zero() or y.is_zero()
 
-    def traces(self, rho: State | Mixture) -> Theorem1Traces:
-        """Bundle of a dense, pure or white-noise state (`tensor.State`), or
-        of a `Mixture`: the weighted sum of its components' bundles."""
-        if rho.dims.dims != self.dims.dims:
-            raise ValueError("state dims do not match probe dims")
-        if isinstance(rho, Mixture):
-            return Theorem1Traces.combine([self._traces(c) for c in rho.components], rho.weights)
-        return self._traces(rho)
+    # bound here too: the benchmark tracer wraps `traces` in each class's own __dict__
+    traces = _Criterion.traces
 
     def _traces(self, rho: State) -> Theorem1Traces:
         pairs = [
@@ -357,30 +381,12 @@ class Theorem1Evaluator:
         detected = certified(margin, np.maximum(scaled, rhs), full - 1, self.dims.total_dim)
         return Margins(lhs, rhs, margin, detected), terms
 
-    def margins(self, traces: Theorem1Traces, k: int) -> Margins:
-        return self._evaluate(traces, k)[0]
-
-    def report(self, traces: Theorem1Traces, k: int, include_terms: bool = True) -> CriterionReport:
+    def report(self, traces: Theorem1Traces, k: int) -> CriterionReport:
         m, terms = self._evaluate(traces, k)
-        labelled = ()
-        if include_terms:
-            labelled = tuple(zip(_subset_labels(traces.n), terms.tolist()))
-        return CriterionReport(
-            theorem=self.theorem,
-            k=k,
-            lhs=float(m.lhs),
-            rhs=float(m.rhs),
-            margin=float(m.margin),
-            detected=bool(m.detected),
-            terms=labelled,
-            degenerate=self.degenerate,
-        )
-
-    def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
-        return self.report(self.traces(rho), k)
+        return self._report(m, k, zip(_subset_labels(traces.n), terms.tolist()))
 
 
-class Theorem2Evaluator:
+class Theorem2Evaluator(_Criterion):
     """Site-probe criterion for a base probe X and substitution set omega."""
 
     theorem = "T2"
@@ -389,32 +395,15 @@ class Theorem2Evaluator:
         d = x.dims.uniform()
         if len(omegas) < 1:
             raise ValueError("omega must contain at least one operator")
-        frozen = []
-        for idx, w in enumerate(omegas):
-            w = np.array(w, dtype=complex)
-            if w.shape != (d, d):
-                raise ValueError(
-                    f"omega[{idx}] must be {d}x{d} to act on a single site, got {w.shape}"
-                )
-            if not np.all(np.isfinite(w.view(float))):
-                raise ValueError(f"omega[{idx}] contains non-finite entries")
-            w.setflags(write=False)
-            frozen.append(w)
-        self.omegas = tuple(frozen)
+        self.omegas = tuple(_frozen_complex(w, (d, d), f"omega[{i}]") for i, w in enumerate(omegas))
         self.x = x
         self.dims = x.dims
         self.d = d
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
         self._listed, self._summed = _tuple_orders(x.dims.n, len(self.omegas))
 
-    def traces(self, rho: State | Mixture) -> Theorem2Traces:
-        """Bundle of a dense, pure or white-noise state (`tensor.State`), or
-        of a `Mixture`: the weighted sum of its components' bundles."""
-        if rho.dims.dims != self.dims.dims:
-            raise ValueError("state dims do not match probe dims")
-        if isinstance(rho, Mixture):
-            return Theorem2Traces.combine([self._traces(c) for c in rho.components], rho.weights)
-        return self._traces(rho)
+    # bound here too: the benchmark tracer wraps `traces` in each class's own __dict__
+    traces = _Criterion.traces
 
     def _traces(self, rho: State) -> Theorem2Traces:
         n, d, big_t = self.dims.n, self.d, len(self.omegas)
@@ -475,40 +464,22 @@ class Theorem2Evaluator:
         detected = certified(margin, np.maximum(lhs, rhs), n_terms, self.dims.total_dim)
         return Margins(lhs, rhs, margin, detected), rhs_pairs, rhs_sites
 
-    def margins(self, traces: Theorem2Traces, k: int) -> Margins:
-        return self._evaluate(traces, k)[0]
-
-    def report(self, traces: Theorem2Traces, k: int, include_terms: bool = True) -> CriterionReport:
+    def report(self, traces: Theorem2Traces, k: int) -> CriterionReport:
         m, rhs_pairs, rhs_sites = self._evaluate(traces, k)
-        terms: tuple[tuple[str, float], ...] = ()
-        if include_terms:
-            base = max(float(traces.base), 0.0)
-            cross_terms = np.abs(traces.cross).reshape(-1).take(self._listed)
-            pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(self._listed))
-            values = np.concatenate((
-                np.stack((cross_terms, pair_terms), axis=-1).reshape(-1),
-                np.maximum(traces.site, 0.0).reshape(-1),
-            ))
-            terms = (
-                ("lhs_sum", float(m.lhs)),
-                ("rhs_pair_sum", float(rhs_pairs)),
-                ("rhs_site_sum", float(rhs_sites)),
-                ("base", base),
-                *zip(_t2_term_labels(traces.n, traces.n_omega), values.tolist()),
-            )
-        return CriterionReport(
-            theorem=self.theorem,
-            k=k,
-            lhs=float(m.lhs),
-            rhs=float(m.rhs),
-            margin=float(m.margin),
-            detected=bool(m.detected),
-            terms=terms,
-            degenerate=self.degenerate,
-        )
-
-    def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
-        return self.report(self.traces(rho), k)
+        base = max(float(traces.base), 0.0)
+        cross_terms = np.abs(traces.cross).reshape(-1).take(self._listed)
+        pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(self._listed))
+        values = np.concatenate((
+            np.stack((cross_terms, pair_terms), axis=-1).reshape(-1),
+            np.maximum(traces.site, 0.0).reshape(-1),
+        ))
+        return self._report(m, k, (
+            ("lhs_sum", float(m.lhs)),
+            ("rhs_pair_sum", float(rhs_pairs)),
+            ("rhs_site_sum", float(rhs_sites)),
+            ("base", base),
+            *zip(_t2_term_labels(traces.n, traces.n_omega), values.tolist()),
+        ))
 
 
 class Theorem2K1Evaluator(Theorem2Evaluator):
@@ -534,23 +505,14 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
         detected = certified(margin, np.maximum(lhs_w, rhs_w), lhs.shape[-1], self.dims.total_dim)
         return Margins(lhs_w, rhs_w, margin, detected), tuples
 
-    def report(self, traces: Theorem2Traces, k: int = 1, include_terms: bool = True) -> CriterionReport:
+    def report(self, traces: Theorem2Traces, k: int = 1) -> CriterionReport:
         m, tuples = self._evaluate(traces, k)
         n, big_t = traces.n, traces.n_omega
         witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
-        terms = ((witness, float(m.margin)),)
-        if include_terms:
-            terms += tuple(zip(_tuple_labels("margin", n, big_t), tuples.tolist()))
-        return CriterionReport(
-            theorem=self.theorem,
-            k=1,
-            lhs=float(m.lhs),
-            rhs=float(m.rhs),
-            margin=float(m.margin),
-            detected=bool(m.detected),
-            terms=terms,
-            degenerate=self.degenerate,
-        )
+        return self._report(m, 1, (
+            (witness, float(m.margin)),
+            *zip(_tuple_labels("margin", n, big_t), tuples.tolist()),
+        ))
 
 
 # --------------------------------------------------------------------------

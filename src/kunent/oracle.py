@@ -236,7 +236,8 @@ def verify_proof_chain(
     - t1-cauchy-schwarz: per subset, sum_m p_m sqrt(a_m b_m) <=
       sqrt(sum p a * sum p b)
     - t2-mixture-triangle / t2-pure-bound / t2-cauchy-schwarz: the
-      site-probe analogues (pure bound checked for every k = 1..N-1)
+      site-probe analogues (pure bound checked for k' = 1..k only: the
+      criterion may rightly fire at k' > k)
     """
     if dims is None:
         dims = SiteDims((2, 2, 2))
@@ -311,7 +312,7 @@ def verify_proof_chain(
         report.step("t2-mixture-triangle").record((tri2 - lhs_mixed2) / scale, tol)
 
         pure_tr = comp_tr[0]
-        for kk in range(1, n):
+        for kk in range(1, k + 1):
             rep2 = ev.report(pure_tr, kk)
             scale = max(1.0, rep2.lhs, rep2.rhs)
             report.step("t2-pure-bound").record(-rep2.margin / scale, tol)

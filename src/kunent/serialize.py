@@ -49,10 +49,11 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
         raise ValueError("matrix object must be a JSON mapping")
     if "dims" not in obj or "entries" not in obj:
         raise ValueError("matrix object needs 'dims' and 'entries' fields")
-    try:
-        dims = tuple(int(x) for x in obj["dims"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid dims {obj['dims']!r}") from exc
+    dims = obj["dims"]
+    # JSON integers only: int() would truncate 2.7 and parse "2"; type() also rules out bool
+    if not isinstance(dims, (list, tuple)) or any(type(x) is not int for x in dims):
+        raise ValueError(f"'dims' must be an array of integers, got {dims!r}")
+    dims = tuple(dims)
     if not dims or any(x < 1 for x in dims):
         raise ValueError(f"invalid dims {list(dims)}")
     d = prod(dims)

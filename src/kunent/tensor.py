@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, dim_cap
+from .config import DEFAULT_TOLERANCES, dim_cap
 
 __all__ = [
     "SiteDims",
@@ -140,9 +140,6 @@ class ProductOperator:
         )
         object.__setattr__(self, "factors", frozen)
 
-    def dagger(self) -> "ProductOperator":
-        return ProductOperator(self.dims, tuple(f.conj().T for f in self.factors))
-
     def replace_factor(self, site: int, factor: np.ndarray) -> "ProductOperator":
         """Copy with the factor at `site` (1-based) replaced."""
         if not 1 <= site <= self.dims.n:
@@ -172,15 +169,12 @@ class PureState:
 
     dims: SiteDims
     amplitudes: np.ndarray
-    tolerances: Tolerances = field(
-        default=DEFAULT_TOLERANCES, repr=False, compare=False, kw_only=True
-    )
 
     def __post_init__(self) -> None:
         amp = _frozen_complex(self.amplitudes, (self.dims.total_dim,), "amplitudes")
         object.__setattr__(self, "amplitudes", amp)
         norm2 = float(np.vdot(amp, amp).real)
-        if abs(norm2 - 1.0) > self.tolerances.norm:
+        if abs(norm2 - 1.0) > DEFAULT_TOLERANCES.norm:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -200,16 +194,13 @@ class DensityMatrix:
 
     dims: SiteDims
     mat: np.ndarray
-    tolerances: Tolerances = field(
-        default=DEFAULT_TOLERANCES, repr=False, compare=False, kw_only=True
-    )
     _check_psd: bool = field(default=True, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self) -> None:
         d = self.dims.total_dim
         mat = _frozen_complex(self.mat, (d, d), "density matrix")
         object.__setattr__(self, "mat", mat)
-        tol = self.tolerances
+        tol = DEFAULT_TOLERANCES
         # over row blocks of <= 2^18 entries, so no temporary is as large as rho
         step = max(1, (1 << 18) // d)
         herm_dev = max(float(np.max(np.abs(mat[r:r + step] - mat[:, r:r + step].conj().T)))
@@ -257,48 +248,35 @@ def _apply_site(psi: np.ndarray, site: int, g: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(g, psi, axes=(1, site)), 0, site)
 
 
-def _site_contraction(rho: State):
-    """(start, step, leaf) folding product factors into `rho` site by site.
-
-    ``acc = step(acc, site, g)`` takes the factor of each site in order
-    (0-based) and ``leaf(acc)`` is then Tr[rho (g_1 x .. x g_N)]:
+def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
+    """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g.
 
     - dense: partial traces of the leading site, O(D^2) for the first one;
     - pure: g applied to the amplitudes, closed with <psi|.>, O(D d);
     - white noise: the running product of tr(g_i), starting from 1/D.
     """
-    if isinstance(rho, WhiteNoise):
-        return (
-            1.0 / rho.dims.total_dim,
-            lambda acc, site, g: acc * np.trace(g),
-            lambda acc: acc,
-        )
-    if isinstance(rho, PureState):
-        psi = rho.amplitudes.reshape(rho.dims.dims)
-        return psi, _apply_site, lambda acc: np.vdot(psi, acc)
-    dims = rho.dims.dims
-    return (
-        rho.mat,
-        # acc is (d*R, d*R) over sites site..N; rho'[r, s] = sum_ab acc[(a,r),(b,s)] g[b,a]
-        lambda acc, site, g: np.einsum(
-            "arbs,ba->rs", acc.reshape(dims[site], len(acc) // dims[site], dims[site], -1), g
-        ),
-        lambda acc: acc[0, 0],
-    )
-
-
-def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
-    """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g."""
     dims = rho.dims.dims
     if len(factors) != len(dims):
         raise ValueError(f"expected {len(dims)} factors, got {len(factors)}")
-    acc, step, leaf = _site_contraction(rho)
-    for site, (d, g) in enumerate(zip(dims, factors)):
-        g = np.asarray(g, dtype=complex)
+    gs = [np.asarray(g, dtype=complex) for g in factors]
+    for d, g in zip(dims, gs):
         if g.shape != (d, d):
             raise ValueError(f"factor shape {g.shape} does not match site dimension {d}")
-        acc = step(acc, site, g)
-    return complex(leaf(acc))
+    if isinstance(rho, WhiteNoise):
+        acc = 1.0 / rho.dims.total_dim
+        for g in gs:
+            acc = acc * np.trace(g)
+        return complex(acc)
+    if isinstance(rho, PureState):
+        psi = acc = rho.amplitudes.reshape(dims)
+        for site, g in enumerate(gs):
+            acc = _apply_site(acc, site, g)
+        return complex(np.vdot(psi, acc))
+    acc = rho.mat
+    for d, g in zip(dims, gs):
+        # acc is (d*R, d*R) over sites site..N; rho'[r, s] = sum_ab acc[(a,r),(b,s)] g[b,a]
+        acc = np.einsum("arbs,ba->rs", acc.reshape(d, len(acc) // d, d, -1), g)
+    return complex(acc[0, 0])
 
 
 def sandwich_trace(rho: State, m: ProductOperator) -> float:
@@ -309,8 +287,7 @@ def sandwich_trace(rho: State, m: ProductOperator) -> float:
     """
     _check_dims(rho, m)
     value = product_trace(rho, [f @ f.conj().T for f in m.factors]).real
-    tol = getattr(rho, "tolerances", DEFAULT_TOLERANCES)
-    if -tol.psd <= value < 0.0:
+    if -DEFAULT_TOLERANCES.psd <= value < 0.0:
         return 0.0
     return value
 

@@ -115,9 +115,9 @@ class FamilyMargin:
         bundle = self._combine(self._bundles, self._weights(params))
         return self.evaluator.margins(bundle, k)
 
-    def report(self, params: Sequence[float], k: int, include_terms: bool = True) -> CriterionReport:
+    def report(self, params: Sequence[float], k: int) -> CriterionReport:
         bundle = self._combine(self._bundles, self._weights(params))
-        return self.evaluator.report(bundle, k, include_terms=include_terms)
+        return self.evaluator.report(bundle, k)
 
     def margin(self, params: Sequence[float], k: int) -> float:
         return float(self.margins(params, k).margin)

@@ -143,13 +143,13 @@ def test_soundness_suite():
                 x = random_product_operator(dims, rng)
                 y = random_product_operator(dims, rng)
                 ev1 = Theorem1Evaluator(x, y)
-                rep1 = ev1.report(ev1.traces(rho), k, include_terms=False)
+                rep1 = ev1.report(ev1.traces(rho), k)
                 omegas = [
                     rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                     for _ in range(int(rng.integers(1, 3)))
                 ]
                 ev2 = Theorem2Evaluator(x, omegas)
-                rep2 = ev2.report(ev2.traces(rho), k, include_terms=False)
+                rep2 = ev2.report(ev2.traces(rho), k)
                 detections += rep1.detected + rep2.detected
                 worst_margin = max(worst_margin, rep1.margin, rep2.margin)
                 evaluations += 2

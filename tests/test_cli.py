@@ -182,6 +182,17 @@ class TestEval:
         assert out == ""
         assert "entr" in err
 
+    @pytest.mark.parametrize("dims", [[2.7, 2], ["2", "2"]])
+    def test_non_integer_dims_exit_2(self, capsys, tmp_path, dims):
+        rho = matrix_to_dict(np.eye(4) / 4, [2, 2])
+        rho["dims"] = dims
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(rho))
+        code, out, err = run_cli(capsys, "eval", "--rho", str(path))
+        assert code == 2
+        assert out == ""
+        assert "dims" in err
+
     def test_preset_specs_are_never_densified(self, capsys, monkeypatch):
         from kunent import DensityMatrix, PureState
 

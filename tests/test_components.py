@@ -339,7 +339,7 @@ class TestBatchedMargins:
         for k in ks:
             batch = fm.margins(params, k)
             for row, m, det in zip(params, batch.margin, batch.detected):
-                report = fm.report(row, k, include_terms=False)
+                report = fm.report(row, k)
                 looped = fm.evaluator.report(_loop_combine(fm._bundles, row), k)
                 assert m == fm.margin(row, k) == report.margin == looped.margin
                 assert det == report.detected == looped.detected
@@ -348,7 +348,7 @@ class TestBatchedMargins:
 def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
     """One gridline at a time: the loop the batched bisection replaces."""
     def f(t):
-        return fm.report(params_at(t), k, include_terms=False)
+        return fm.report(params_at(t), k)
 
     at_hi = f(hi)
     if not at_hi.detected:

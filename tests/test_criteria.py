@@ -459,7 +459,7 @@ class TestCertificateSoundness:
             ))
             ev = Theorem1Evaluator(x, x)
             for rho in self._separable_states(dims, rng):
-                rep = ev.report(ev.traces(rho), n - 1, include_terms=False)
+                rep = ev.report(ev.traces(rho), n - 1)
                 assert not rep.detected, (seed, scale, type(rho).__name__, rep.margin)
                 old_rule += rep.margin > DEFAULT_TOLERANCES.detection
         if n >= 4:
@@ -480,4 +480,4 @@ class TestCertificateSoundness:
             for ev, k in ((Theorem2Evaluator(x, omegas), n - 1),
                           (Theorem2K1Evaluator(x, omegas), 1)):
                 for rho in states[1:3]:
-                    assert not ev.report(ev.traces(rho), k, include_terms=False).detected
+                    assert not ev.report(ev.traces(rho), k).detected

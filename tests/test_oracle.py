@@ -164,6 +164,10 @@ class TestProofChain:
             assert step.failures == 0, name
             assert step.trials > 0
 
+    def test_pure_bound_checked_only_where_implied(self):
+        # seed 8 draws a state with k = 1 on which T2 rightly fires at k' = 2
+        assert verify_proof_chain(50, seed=8).passed
+
     def test_near_degenerate_states_covered(self):
         # trial indices 9, 19, ... use the rank-1 + 1e-13 noise stress case
         report = verify_proof_chain(20, seed=1)

@@ -51,6 +51,13 @@ class TestMatrixSchema:
         with pytest.raises(ValueError, match="pair"):
             matrix_from_dict({"dims": [2], "entries": [[1.0], [0, 0], [0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize(
+        "dims", [[2.7, 2], [2.0, 2], ["2", "2"], [True, 2], "22", 4, None, {"2": 2}]
+    )
+    def test_dims_must_be_json_integers(self, dims):
+        with pytest.raises(ValueError, match="dims"):
+            matrix_from_dict({"dims": dims, "entries": [[0.25, 0.0]] * 16})
+
     def test_missing_fields(self):
         with pytest.raises(ValueError, match="dims"):
             matrix_from_dict({"entries": []})
