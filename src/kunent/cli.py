@@ -282,6 +282,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    if args.n < 2:
+        raise InputError(f"--n must be >= 2, got {args.n}")
     rows = []
     for k in range(1, args.n):
         rows.extend(pq_boundary_scan(args.n, args.d, k, args.grid, probe=args.probe))

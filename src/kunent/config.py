@@ -1,7 +1,7 @@
 """Central numerical configuration: tolerances and size budgets.
 
-All tolerances used for state validation and equality/detection decisions
-live here rather than being scattered through the code.  The dense-matrix
+All tolerances used for state validation and detection decisions live
+here rather than being scattered through the code.  The dense-matrix
 size cap can be overridden with the ``KUNENT_DIM_CAP`` environment variable.
 """
 
@@ -17,6 +17,10 @@ DEFAULT_DIM_CAP = 4096
 #: Cap on the per-copy dimension accepted by the doubled-space oracle.
 ORACLE_DIM_CAP = 64
 
+#: Largest relative deviation (factorization check) or negative relative
+#: slack (proof chain) that the doubled-space oracle accepts.
+ORACLE_TOL = 1e-10
+
 #: Largest particle count for which the subset-sum criterion enumerates
 #: all 2^N - 2 nonempty proper subsets.
 SUBSET_BUDGET = 16
@@ -28,19 +32,16 @@ DIM_CAP_ENV_VAR = "KUNENT_DIM_CAP"
 class Tolerances:
     """Numerical tolerances shared by all modules.
 
-    hermiticity/trace/psd/norm guard state validation; ``equality`` is the
-    bound for exact-identity assertions between two computed quantities;
-    ``detection`` is the absolute part of the certificate rule: a criterion
-    reports a violation when its margin exceeds ``detection`` plus the
-    rounding allowance ``summation_gamma(m) * scale`` (see
-    `kunent.criteria.certified`).
+    hermiticity/trace/psd/norm guard state validation; ``detection`` is the
+    absolute part of the certificate rule: a criterion reports a violation
+    when its margin exceeds ``detection`` plus the rounding allowance
+    ``summation_gamma(m) * scale`` (see `kunent.criteria.certified`).
     """
 
     hermiticity: float = 1e-10
     trace: float = 1e-10
     psd: float = 1e-10
     norm: float = 1e-10
-    equality: float = 1e-12
     detection: float = 1e-12
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ORACLE_DIM_CAP
+from .config import ORACLE_DIM_CAP, ORACLE_TOL
 from .criteria import (
     PermutationAction,
     Theorem1Evaluator,
@@ -46,10 +46,10 @@ __all__ = [
 ]
 
 
-def _check_oracle_cap(rho: DensityMatrix, cap: int) -> None:
-    if rho.dims.total_dim > cap:
+def _check_oracle_cap(rho: DensityMatrix) -> None:
+    if rho.dims.total_dim > ORACLE_DIM_CAP:
         raise ValueError(
-            f"dimension {rho.dims.total_dim} exceeds the oracle per-copy cap {cap}"
+            f"dimension {rho.dims.total_dim} exceeds the oracle per-copy cap {ORACLE_DIM_CAP}"
         )
 
 
@@ -58,15 +58,13 @@ def doubled_term(
     x: ProductOperator,
     y: ProductOperator,
     alpha: PermutationAction,
-    *,
-    cap: int = ORACLE_DIM_CAP,
 ) -> complex:
     """Tr[(X^dag x Y^dag) P_a^dag rho^(x2) P_a (X x Y)] assembled literally.
 
     The permutation is applied to the operator pair first: the value is
     Tr[(A^dag x B^dag) rho^(x2) (A x B)] for (A, B) = swap_on_subset(x, y, alpha).
     """
-    _check_oracle_cap(rho, cap)
+    _check_oracle_cap(rho)
     rr = np.kron(rho.mat, rho.mat)
     a, b = swap_on_subset(x, y, alpha)
     m = np.kron(assemble(a), assemble(b))
@@ -74,19 +72,13 @@ def doubled_term(
     return complex(np.einsum("ij,ij->", m.conj(), rr @ m))
 
 
-def doubled_lhs(
-    rho: DensityMatrix,
-    x: ProductOperator,
-    y: ProductOperator,
-    *,
-    cap: int = ORACLE_DIM_CAP,
-) -> complex:
+def doubled_lhs(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> complex:
     """Left-hand-side two-copy trace Tr[(X^dag x Y^dag) rho^(x2) P (X x Y)].
 
     Under the adopted reading P(X x Y) = Y x X, so the value equals
     Tr[(X^dag x Y^dag) rho^(x2) (Y x X)] = |Tr[X^dag rho Y]|^2.
     """
-    _check_oracle_cap(rho, cap)
+    _check_oracle_cap(rho)
     rr = np.kron(rho.mat, rho.mat)
     left = np.kron(assemble(x).conj().T, assemble(y).conj().T)
     right = np.kron(assemble(y), assemble(x))
@@ -104,17 +96,16 @@ class StepResult:
     failures: int = 0
     worst_slack: float = float("inf")
 
-    def record(self, slack: float, tol: float) -> None:
+    def record(self, slack: float) -> None:
         self.trials += 1
         self.worst_slack = min(self.worst_slack, slack)
-        if slack < -tol:
+        if slack < -ORACLE_TOL:
             self.failures += 1
 
 
 @dataclass
 class ProofChainReport:
     steps: dict[str, StepResult] = field(default_factory=dict)
-    tolerance: float = 1e-10
 
     def step(self, name: str) -> StepResult:
         return self.steps.setdefault(name, StepResult())
@@ -126,7 +117,7 @@ class ProofChainReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "tolerance": self.tolerance,
+            "tolerance": ORACLE_TOL,
             "steps": {
                 name: {
                     "trials": s.trials,
@@ -138,17 +129,11 @@ class ProofChainReport:
         }
 
 
-def factorization_check(
-    trials: int = 50,
-    seed: int = 0,
-    *,
-    shapes: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2)),
-    tol: float = 1e-10,
-) -> dict:
+def factorization_check(trials: int = 50, seed: int = 0) -> dict:
     """Compare doubled-space values against their factorized counterparts.
 
-    For each (N, d) shape runs `trials` random instances and records the
-    worst relative deviation between:
+    For each (N, d) shape, (2, 2), (2, 3) and (3, 2), runs `trials` random
+    instances and records the worst relative deviation between:
 
     - the subset term Tr[(A^dag x B^dag) rho^(x2) (A x B)] and
       Tr[rho A A^dag] Tr[rho B B^dag],
@@ -159,7 +144,7 @@ def factorization_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
-    for n, d in shapes:
+    for n, d in ((2, 2), (2, 3), (3, 2)):
         dims = SiteDims((d,) * n)
         for _ in range(trials):
             rho = random_mixed_state(dims, rng, rank=int(rng.integers(1, 4)))
@@ -203,13 +188,15 @@ def factorization_check(
     return {
         "trials": count,
         "worst_relative_error": worst,
-        "tolerance": tol,
-        "passed": bool(worst <= tol),
+        "tolerance": ORACLE_TOL,
+        "passed": bool(worst <= ORACLE_TOL),
     }
 
 
 def oracle_check(trials: int = 50, seed: int = 0) -> dict:
     """Full oracle report: factorization equivalence plus proof chain."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     fact = factorization_check(trials, seed)
     chain = verify_proof_chain(max(trials, 50), seed + 1)
     return {
@@ -219,16 +206,11 @@ def oracle_check(trials: int = 50, seed: int = 0) -> dict:
     }
 
 
-def verify_proof_chain(
-    n_trials: int = 100,
-    seed: int = 0,
-    *,
-    dims: SiteDims | None = None,
-    tol: float = 1e-10,
-) -> ProofChainReport:
-    """Numerically check every chained inequality behind both criteria.
+def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
+    """Numerically check every chained inequality behind both criteria, on
+    three qubits.
 
-    Steps (rel-scaled slack must stay >= -tol):
+    Steps (rel-scaled slack must stay >= -ORACLE_TOL):
 
     - t1-mixture-triangle: |Tr[X^dag rho Y]| <= sum_m p_m |Tr[X^dag rho_m Y]|
     - t1-pure-bound: the subset-swap inequality on pure states with >= k
@@ -239,10 +221,9 @@ def verify_proof_chain(
       site-probe analogues (pure bound checked for k' = 1..k only: the
       criterion may rightly fire at k' > k)
     """
-    if dims is None:
-        dims = SiteDims((2, 2, 2))
+    dims = SiteDims((2, 2, 2))
     rng = np.random.default_rng(seed)
-    report = ProofChainReport(tolerance=tol)
+    report = ProofChainReport()
     n = dims.n
     full = (1 << n) - 1
     mm = np.eye(dims.total_dim) / dims.total_dim
@@ -272,11 +253,11 @@ def verify_proof_chain(
             w * abs(cross_trace(r, x, y)) for w, r in zip(weights, components)
         )
         scale = max(1.0, lhs_mixed, triangle_rhs)
-        report.step("t1-mixture-triangle").record((triangle_rhs - lhs_mixed) / scale, tol)
+        report.step("t1-mixture-triangle").record((triangle_rhs - lhs_mixed) / scale)
 
         rep = Theorem1Evaluator(x, y).evaluate(pure, k)
         scale = max(1.0, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
-        report.step("t1-pure-bound").record(-rep.margin / scale, tol)
+        report.step("t1-pure-bound").record(-rep.margin / scale)
 
         for mask in (1, full - 1, full >> 1):
             alpha = PermutationAction(
@@ -294,7 +275,7 @@ def verify_proof_chain(
                 * max(sum(w * b for w, b in zip(weights, b_vals)), 0.0)
             )
             scale = max(1.0, lhs_cs, rhs_cs)
-            report.step("t1-cauchy-schwarz").record((rhs_cs - lhs_cs) / scale, tol)
+            report.step("t1-cauchy-schwarz").record((rhs_cs - lhs_cs) / scale)
 
         # --- site-probe criterion chain (equal local dims guaranteed here) ---
         omegas = [
@@ -309,13 +290,13 @@ def verify_proof_chain(
         lhs_mixed2 = float(np.sum(np.abs(mixed_tr.cross)))
         tri2 = sum(w * float(np.sum(np.abs(t.cross))) for w, t in zip(weights, comp_tr))
         scale = max(1.0, lhs_mixed2, tri2)
-        report.step("t2-mixture-triangle").record((tri2 - lhs_mixed2) / scale, tol)
+        report.step("t2-mixture-triangle").record((tri2 - lhs_mixed2) / scale)
 
         pure_tr = comp_tr[0]
         for kk in range(1, k + 1):
             rep2 = ev.report(pure_tr, kk)
             scale = max(1.0, rep2.lhs, rep2.rhs)
-            report.step("t2-pure-bound").record(-rep2.margin / scale, tol)
+            report.step("t2-pure-bound").record(-rep2.margin / scale)
 
         lhs_cs2 = sum(
             w * np.sqrt(max(t.base, 0.0) * np.maximum(t.pair, 0.0))
@@ -327,6 +308,6 @@ def verify_proof_chain(
         )
         worst = float(np.min(rhs_cs2 - lhs_cs2))
         scale = max(1.0, float(np.max(lhs_cs2)), float(np.max(rhs_cs2)))
-        report.step("t2-cauchy-schwarz").record(worst / scale, tol)
+        report.step("t2-cauchy-schwarz").record(worst / scale)
 
     return report

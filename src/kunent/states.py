@@ -20,6 +20,7 @@ from .tensor import (
     PureState,
     SiteDims,
     WhiteNoise,
+    _apply_site,
     qubits,
     qudits,
 )
@@ -84,9 +85,8 @@ def w_tilde(n: int, d: int) -> PureState:
     w = w_state(n, d)
     sigma = shift_sigma(d)
     tensor = w.amplitudes.reshape((d,) * n)
-    for axis in range(n):
-        tensor = np.tensordot(sigma, tensor, axes=(1, axis))
-        tensor = np.moveaxis(tensor, 0, axis)
+    for site in range(n):
+        tensor = _apply_site(tensor, site, sigma)
     return PureState(w.dims, tensor.reshape(-1))
 
 

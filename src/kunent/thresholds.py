@@ -6,8 +6,9 @@ criterion's trace bundle along the family is the same weighted sum of
 per-component bundles.  `FamilyMargin` computes those component bundles
 once, from the signals' amplitudes and analytically for white noise; a
 margin evaluation at any mixing weights is then a few array operations,
-and one call evaluates a whole batch of weights.  Bisection runs every
-gridline of a scan as one batch.
+and one call evaluates a whole batch of weights.  Every threshold, of one
+slice, a table row or all gridlines of a scan, comes from one batched
+bisection (`_slice_thresholds`).
 
 The margin of the summed criteria (T1, and T2 for every k) is *convex*
 in the scanned weight, not affine: |affine| terms minus square roots of
@@ -55,18 +56,22 @@ __all__ = [
 #: never recomputed here.
 COMPARISON_THRESHOLDS_8QUBIT = (0.8015, 0.6279, 0.4790, 0.3550, 0.2557, 0.1811, 0.1315)
 
+#: Bracket width at which bisection stops, and its iteration limit.
+_TOL = 1e-8
+_MAX_ITER = 60
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
     """Detection threshold along a one-parameter slice of a noise family.
 
-    ``p_star`` is None when the criterion never fires on the slice or when
-    the margin slope at the root is too flat (< 1e-9) to trust the root.
+    ``p_star`` is None when the slice is empty or the margin is not
+    certified at its top; ``residual`` is the margin at the root, or at the
+    top of the slice when there is none (NaN for an empty slice).
     """
 
     k: int
     p_star: float | None
-    method: str
     residual: float
 
 
@@ -172,15 +177,37 @@ def _bisect_margin(
     return root, residual
 
 
+def _slice_thresholds(
+    fm: FamilyMargin, k: int, fixed: np.ndarray, axis: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(root, residual) of the margin along one family parameter, for each
+    row of a (B, n_signals - 1) batch of fixed weights.
+
+    The scanned weight is inserted at column `axis` and bisected over
+    [0, 1 - sum(row)] for all rows at once (see `_bisect_margin`).  An empty
+    slice (1 - sum(row) <= 0) has root NaN and residual NaN.
+    """
+    hi = 1.0 - fixed.sum(axis=1)
+    empty = hi <= 0.0
+    # one parameter buffer for every step: `margins` keeps no reference to it
+    params = np.insert(fixed, axis, 0.0, axis=1)
+
+    def f(t: np.ndarray) -> Margins:
+        params[:, axis] = t
+        return fm.margins(params, k)
+
+    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi), tol, _MAX_ITER)
+    return np.where(empty, np.nan, root), np.where(empty, np.nan, residual)
+
+
 def bisection_threshold(
     family: NoiseFamily,
     evaluator,
     k: int,
-    tol: float = 1e-8,
+    tol: float = _TOL,
     *,
     fixed: Sequence[float] = (),
     axis: int = 0,
-    max_iter: int = 60,
 ) -> ThresholdResult:
     """Bisect the criterion margin along one family parameter.
 
@@ -191,8 +218,9 @@ def bisection_threshold(
     convex in the scanned weight for the summed criteria (T1, T2), so it
     crosses zero once when it is not certified at weight 0; the per-tuple
     k = 1 margin is not convex, and a single crossing is then assumed (see
-    `_bisect_margin`).  If the margin is not certified at the top of the
-    slice the result carries ``p_star=None``.
+    `_bisect_margin`).  The result carries ``p_star=None`` when the slice
+    is empty (the fixed weights sum to 1) or the margin is not certified at
+    its top.
     """
     n_params = len(family.signals)
     if len(fixed) != n_params - 1:
@@ -200,31 +228,10 @@ def bisection_threshold(
     if not 0 <= axis < n_params:
         raise ValueError(f"axis must be in 0..{n_params - 1}, got {axis}")
     component_weights(fixed)  # finite, nonnegative, summing to at most 1
-    fm = FamilyMargin(family, evaluator)
-
-    def f(t: np.ndarray) -> Margins:
-        columns = [np.full_like(t, w) for w in fixed]
-        columns.insert(axis, t)
-        return fm.margins(np.stack(columns, axis=-1), k)
-
-    hi = 1.0 - sum(fixed)
-    if hi <= 0.0:
-        return ThresholdResult(k=k, p_star=None, method="bisection", residual=float("nan"))
-
-    (root,), (residual,) = _bisect_margin(f, np.zeros(1), np.array([hi]), tol, max_iter)
-    residual = float(residual)
-    if np.isnan(root):
-        return ThresholdResult(k=k, p_star=None, method="bisection", residual=residual)
-    root = float(root)
-    if root > 0.0:
-        h = max(tol, 1e-6)
-        a = max(root - h, 0.0)
-        b = min(root + h, hi)
-        f_a, f_b = f(np.array([a, b])).margin
-        slope = abs(f_b - f_a) / (b - a)
-        if slope < 1e-9:
-            return ThresholdResult(k=k, p_star=None, method="bisection", residual=residual)
-    return ThresholdResult(k=k, p_star=root, method="bisection", residual=residual)
+    rows = np.asarray(fixed, dtype=float).reshape(1, -1)
+    (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis, tol)
+    p_star = None if np.isnan(root) else float(root)
+    return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
 
 
 def ghz_noise_closed_form(n: int, k: int) -> float:
@@ -258,46 +265,33 @@ def example2_closed_form(n: int, k: int, d: int) -> float:
     return num / (k * d**n + num)
 
 
-def ghz_threshold_table(
-    n: int = 8, tol: float = 1e-8
-) -> list[tuple[int, float, float | None]]:
+def ghz_threshold_table(n: int = 8) -> list[tuple[int, float, float | None]]:
     """(k, bisected threshold, comparison constant) for k = 1..n-1.
 
     The comparison column holds the published alternative-criterion values
     and is only available for the 8-qubit family.
     """
     family = ghz_noise_family(n)
-    evaluator = Theorem1Evaluator(*ghz_probe(family.dims))
-    fm = FamilyMargin(family, evaluator)
+    fm = FamilyMargin(family, Theorem1Evaluator(*ghz_probe(family.dims)))
     rows = []
     for k in range(1, n):
-        (root,), _ = _bisect_margin(
-            lambda p: fm.margins(p[:, None], k), np.zeros(1), np.ones(1), tol, 60
-        )
-        reference = (
-            COMPARISON_THRESHOLDS_8QUBIT[k - 1]
-            if n == 8 and k <= len(COMPARISON_THRESHOLDS_8QUBIT)
-            else None
-        )
+        (root,), _ = _slice_thresholds(fm, k, np.empty((1, 0)), 0, _TOL)
+        reference = COMPARISON_THRESHOLDS_8QUBIT[k - 1] if n == 8 else None
         rows.append((k, float(root), reference))
     return rows
 
 
 def pq_boundary_scan(
-    n: int,
-    d: int,
-    k: int,
-    grid: int,
-    probe: str = "w",
-    tol: float = 1e-8,
+    n: int, d: int, k: int, grid: int, probe: str = "w"
 ) -> list[BoundaryPoint]:
     """Detection boundary of the site-probe criterion over the (p, q) simplex.
 
     With ``probe="w"`` the scan bisects the W-signal weight p along q
-    gridlines j/grid; ``probe="wtilde"`` uses the mirrored probe preset and
-    bisects q along p gridlines (the natural parameterization of the
-    mirrored detection region).  Gridlines with no crossing are recorded
-    with ``star=None``.
+    gridlines j/grid, j = 0..grid; ``probe="wtilde"`` uses the mirrored
+    probe preset and bisects q along p gridlines (the natural
+    parameterization of the mirrored detection region).  Gridlines with no
+    crossing, and the empty slice at gridline 1, are recorded with
+    ``star=None``.
     """
     family = w_noise_family(n, d)
     if probe == "w":
@@ -310,16 +304,11 @@ def pq_boundary_scan(
         raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    fm = FamilyMargin(family, evaluator)
-    # every gridline but the last (g = 1, an empty slice), in one batch
-    g = np.arange(grid) / grid
-
-    def f(t: np.ndarray) -> Margins:
-        params = [t, g] if axis == 0 else [g, t]
-        return fm.margins(np.stack(params, axis=-1), k)
-
-    roots, residuals = _bisect_margin(f, np.zeros_like(g), 1.0 - g, tol, 60)
-    rows = [
+    g = np.arange(grid + 1) / grid
+    roots, residuals = _slice_thresholds(
+        FamilyMargin(family, evaluator), k, g[:, None], axis, _TOL
+    )
+    return [
         BoundaryPoint(
             k=k,
             gridline=float(gl),
@@ -328,14 +317,10 @@ def pq_boundary_scan(
         )
         for gl, root, res in zip(g, roots, residuals)
     ]
-    rows.append(BoundaryPoint(k=k, gridline=1.0, star=None, residual=float("nan")))
-    return rows
 
 
 def _fmt(x: float | None) -> str:
-    if x is None:
-        return "none"
-    if isinstance(x, float) and np.isnan(x):
+    if x is None or np.isnan(x):
         return "none"
     return f"{x:.10g}"
 

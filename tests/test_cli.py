@@ -277,6 +277,12 @@ class TestFig1:
         assert code == 0
         assert out.startswith("k,p,q_star,margin_residual")
 
+    @pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "0"], ["--n", "-3", "--grid", "0"]])
+    def test_too_few_sites_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "fig1", *argv)
+        assert code == 2 and out == ""
+        assert "--n must be >= 2" in err
+
 
 class TestOracleCheckCommand:
     def test_passes_by_default(self, capsys):
@@ -285,6 +291,12 @@ class TestOracleCheckCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert "factorization" in payload and "proof_chain" in payload
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exit_2(self, capsys, trials):
+        code, out, err = run_cli(capsys, "oracle-check", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "trials must be >= 1" in err
 
 
 class TestDeterminism:

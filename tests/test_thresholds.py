@@ -8,6 +8,7 @@ import pytest
 from kunent import (
     COMPARISON_THRESHOLDS_8QUBIT,
     NoiseFamily,
+    ProductOperator,
     PureState,
     Theorem1Evaluator,
     Theorem2Evaluator,
@@ -91,7 +92,6 @@ class TestBisection:
         assert abs(r1.p_star - 0.4980) <= 1e-4
         r7 = bisection_threshold(fam, ev, 7)
         assert abs(r7.p_star - 0.0078) <= 1e-4
-        assert r1.method == "bisection"
 
     def test_agrees_with_closed_form(self):
         fam = ghz_noise_family(8)
@@ -143,6 +143,17 @@ class TestBisection:
             fm.margins([np.nan, 0.1], 1)
         with pytest.raises(ValueError, match="non-finite"):
             fm.margins([[0.2, 0.1], [0.3, np.inf]], 1)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01, 0.003, 0.002])
+    def test_threshold_invariant_under_probe_scaling(self, scale):
+        # lhs and rhs both scale as scale^2; the root must not move, however
+        # small the margin's slope at it becomes
+        fam = ghz_noise_family(4)
+        x, y = ghz_probe(fam.dims)
+        scaled = ProductOperator(x.dims, tuple(scale * f for f in x.factors))
+        res = bisection_threshold(fam, Theorem1Evaluator(scaled, y), 1)
+        assert res.p_star == ghz_threshold_table(4)[0][1]
+        assert res.p_star == pytest.approx(ghz_noise_closed_form(4, 1), abs=1e-8)
 
     def test_per_tuple_variant_bisects_to_its_own_line(self):
         # the k=1 per-tuple variant crosses where |cross| = base sandwich,
@@ -223,6 +234,19 @@ class TestBoundaryScan:
             if row.star is None:
                 continue
             assert abs(fm_w.margin([row.star, row.gridline], k)) <= 1e-6
+
+    @pytest.mark.parametrize("probe,axis", [("w", 0), ("wtilde", 1)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_match_bisection_threshold(self, probe, axis, k):
+        fam = w_noise_family(4, 3)
+        preset = w_probe if probe == "w" else w_tilde_probe
+        ev = Theorem2Evaluator(*preset(fam.dims))
+        rows = pq_boundary_scan(4, 3, k, 8, probe=probe)
+        assert [r.gridline for r in rows] == [j / 8 for j in range(9)]
+        for row in rows:
+            res = bisection_threshold(fam, ev, k, fixed=(row.gridline,), axis=axis)
+            assert res.p_star == row.star
+            assert np.array_equal(res.residual, row.residual, equal_nan=True)
 
     def test_gridline_one_has_no_crossing(self):
         rows = pq_boundary_scan(4, 3, 1, grid=2)
