@@ -8,7 +8,7 @@ white-noise detection thresholds, and ships a doubled-space oracle that
 validates the factorization at small dimension.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances, dim_cap
+from .config import dim_cap
 from .criteria import (
     CriterionReport,
     PermutationAction,

@@ -146,21 +146,13 @@ def _build_evaluator(args, dims: SiteDims):
             if args.x or args.y:
                 raise InputError("theorem 1 needs both --x and --y (or a preset)")
             return Theorem1Evaluator(*ghz_probe(dims))
-        x = load_product_operator(args.x)
-        y = load_product_operator(args.y)
-        if x.dims.dims != dims.dims or y.dims.dims != dims.dims:
-            raise InputError(
-                f"probe dims {x.dims.dims}/{y.dims.dims} do not match state dims {dims.dims}"
-            )
-        return Theorem1Evaluator(x, y)
+        return Theorem1Evaluator(load_product_operator(args.x), load_product_operator(args.y))
     elif args.x is None and args.omega is None:
         x, om = w_probe(dims)
     else:
         if not (args.x and args.omega):
             raise InputError("theorem 2 needs both --x and --omega (or a preset)")
         x = load_product_operator(args.x)
-        if x.dims.dims != dims.dims:
-            raise InputError(f"probe dims {x.dims.dims} do not match state dims {dims.dims}")
         om = [load_factor(p) for p in args.omega.split(",")]
     return (Theorem2K1Evaluator if args.per_tuple else Theorem2Evaluator)(x, om)
 
@@ -252,7 +244,7 @@ def cmd_eval(args) -> int:
     label, rho = parse_state_spec(args.rho)
     try:
         evaluator = _build_evaluator(args, rho.dims)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise InputError(str(exc)) from exc
 
     n = rho.dims.n
@@ -265,12 +257,8 @@ def cmd_eval(args) -> int:
     else:
         ks = list(range(1, n))
 
-    try:
-        traces = evaluator.traces(rho)
-        reports = [evaluator.report(traces, k) for k in ks]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
+    traces = evaluator.traces(rho)
+    reports = [evaluator.report(traces, k) for k in ks]
     sys.stdout.write(_reports_csv(reports) if args.csv else _reports_json(label, reports))
     return 0
 
@@ -300,9 +288,10 @@ def cmd_oracle_check(args) -> int:
     return 0 if result["passed"] else 1
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser; `defaults` (from ``--config``) are set on every
-    subcommand, below any flag given on the command line."""
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: every default it holds is
+    immutable, so parses cannot leak into one another."""
     parser = argparse.ArgumentParser(
         prog="kunent",
         description="Detect multipartite states containing fewer than k unentangled particles.",
@@ -310,7 +299,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         help="JSON object of default values for the subcommand's flags (flag names "
-        "with dashes replaced by underscores); an unknown key is an error (exit 2)",
+        "with dashes replaced by underscores, switches true or false), checked as the "
+        "flags are; an unknown key is an error (exit 2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,64 +325,67 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         help="theorem 2, k=1: use the per-tuple variant instead of the summed form",
     )
     p_eval.add_argument("--csv", action="store_true", help="CSV output (default: JSON)")
-    p_eval.set_defaults(**(defaults or {}), func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval)
 
     p_t1 = sub.add_parser("table1", help="GHZ noise-family threshold table")
     p_t1.add_argument("--n", type=int, default=8)
-    p_t1.set_defaults(**(defaults or {}), func=cmd_table1)
+    p_t1.set_defaults(func=cmd_table1)
 
     p_f1 = sub.add_parser("fig1", help="W noise-family boundary scan CSV")
     p_f1.add_argument("--n", type=int, default=5)
     p_f1.add_argument("--d", type=int, default=4)
     p_f1.add_argument("--grid", type=int, default=200)
     p_f1.add_argument("--probe", choices=("w", "wtilde"), default="w")
-    p_f1.set_defaults(**(defaults or {}), func=cmd_fig1)
+    p_f1.set_defaults(func=cmd_fig1)
 
     p_oc = sub.add_parser("oracle-check", help="doubled-space equivalence report")
     p_oc.add_argument("--trials", type=int, default=50)
     p_oc.add_argument("--seed", type=int, default=0)
-    p_oc.set_defaults(**(defaults or {}), func=cmd_oracle_check)
+    p_oc.set_defaults(func=cmd_oracle_check)
     return parser
 
 
-def _read_config(path: str, known: set[str]) -> dict:
-    """Flag defaults from a JSON object; every key must name a flag of the
-    chosen subcommand (dashes replaced by underscores)."""
+def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """A JSON config object as flag tokens of the subcommand `args` was
+    parsed for, so the parser checks its values as it checks flags.  Every
+    key must name one of its flags (dashes replaced by underscores); a
+    switch (store_true, a bool in `args`) is set by true, left out by false."""
     try:
         with open(path, encoding="utf-8") as fh:
-            defaults = json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(defaults, dict):
+    if not isinstance(config, dict):
         raise InputError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(defaults) - known)
+    known = set(vars(args)) - {"config", "command", "func"}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise InputError(
             f"config {path} has unknown keys {', '.join(unknown)} "
             f"(allowed: {', '.join(sorted(known))})"
         )
-    return defaults
-
-
-@lru_cache(maxsize=1)
-def _default_parser() -> argparse.ArgumentParser:
-    """The parser without ``--config`` defaults, built once: every default
-    it holds is immutable, so parses cannot leak into one another."""
-    return build_parser()
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool) and isinstance(value, bool):
+            tokens += [flag] if value else []
+        else:  # a switch given a value is rejected, as --csv=1 is
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _default_parser().parse_args(argv)
-    if args.config:
-        # the subcommand's own flags are the keys of its parsed namespace
-        known = set(vars(args)) - {"config", "command", "func"}
-        try:
-            defaults = _read_config(args.config, known)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        args = build_parser(defaults).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            # the config's flags go right after the subcommand, ahead of the
+            # command line's own, which win; only --config options precede it
+            at = 0
+            while argv[at].startswith("-"):
+                at += 1 if "=" in argv[at] else 2
+            argv[at + 1 : at + 1] = _config_flags(args.config, args)
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

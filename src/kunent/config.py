@@ -8,7 +8,6 @@ size cap can be overridden with the ``KUNENT_DIM_CAP`` environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 #: Default cap on the total Hilbert-space dimension D of dense objects.
 #: Covers 8 qubits (D=256) and 5 ququarts (D=1024) with headroom.
@@ -27,25 +26,21 @@ SUBSET_BUDGET = 16
 
 DIM_CAP_ENV_VAR = "KUNENT_DIM_CAP"
 
+#: State validation (`tensor`): Hermiticity deviation, |Tr rho - 1| and
+#: negative eigenvalue of a `DensityMatrix` (the last also bounds the
+#: rounding that `sandwich_trace` clamps to 0), and | |psi|^2 - 1 | of a
+#: `PureState`.
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+NORM_TOL = 1e-10
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by all modules.
+#: Absolute part of the certificate rule, margin > DETECTION_TOL +
+#: summation_gamma(m) * scale (`kunent.criteria.certified`).
+DETECTION_TOL = 1e-12
 
-    hermiticity/trace/psd/norm guard state validation; ``detection`` is the
-    absolute part of the certificate rule: a criterion reports a violation
-    when its margin exceeds ``detection`` plus the rounding allowance
-    ``summation_gamma(m) * scale`` (see `kunent.criteria.certified`).
-    """
-
-    hermiticity: float = 1e-10
-    trace: float = 1e-10
-    psd: float = 1e-10
-    norm: float = 1e-10
-    detection: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: Slack on the sum of a mixture's signal weights (`states.component_weights`).
+WEIGHT_SUM_TOL = 1e-12
 
 #: Unit roundoff of IEEE binary64 arithmetic.
 UNIT_ROUNDOFF = 2.0**-53

@@ -52,8 +52,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SUBSET_BUDGET, summation_gamma
-from .states import Mixture
+from .config import DETECTION_TOL, SUBSET_BUDGET, summation_gamma
+from .states import Mixture, _check_k
 from .tensor import (
     ProductOperator,
     SiteDims,
@@ -165,15 +165,19 @@ def swap_on_subset(
 # --------------------------------------------------------------------------
 
 
-def _mix(bundles: Sequence, weights, name: str, ndim: int):
-    """sum_c weights[..., c] * bundles[c].name, added left to right.
-
-    `ndim` is the rank of the field in one bundle; the weights' leading
-    axes (none for one mixture, (B,) for a batch) lead the result.
-    """
+def _combine(bundles: Sequence, weights):
+    """Bundle of the mixture with one weight per bundle, or of each row of a
+    (B, len(bundles)) batch of weights.  The class's `_kept` fields come from
+    the first bundle; each of the `_mixed` (name, rank in one bundle) fields
+    that follow them is sum_c weights[..., c] * bundles[c].name, added left
+    to right, with the weights' leading axes (none, or (B,)) leading."""
+    first = bundles[0]
     w = np.asarray(weights, dtype=float)
-    pad = (...,) + (None,) * ndim
-    return sum(w[..., c][pad] * getattr(b, name) for c, b in enumerate(bundles))
+    fields = [getattr(first, name) for name in first._kept]
+    for name, rank in first._mixed:
+        pad = (...,) + (None,) * rank
+        fields.append(sum(w[..., c][pad] * getattr(b, name) for c, b in enumerate(bundles)))
+    return type(first)(*fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,13 +189,9 @@ class Theorem1Traces:
     cross: complex | np.ndarray
     subset: np.ndarray
 
-    @staticmethod
-    def combine(bundles: Sequence["Theorem1Traces"], weights) -> "Theorem1Traces":
-        """Bundle of the mixture with one weight per bundle, or of each row
-        of a (B, len(bundles)) batch of weights."""
-        return Theorem1Traces(
-            bundles[0].n, _mix(bundles, weights, "cross", 0), _mix(bundles, weights, "subset", 1)
-        )
+    _kept = ("n",)
+    _mixed = (("cross", 0), ("subset", 1))
+    combine = staticmethod(_combine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,19 +211,9 @@ class Theorem2Traces:
     site: np.ndarray
     base: float | np.ndarray
 
-    @staticmethod
-    def combine(bundles: Sequence["Theorem2Traces"], weights) -> "Theorem2Traces":
-        """Bundle of the mixture with one weight per bundle, or of each row
-        of a (B, len(bundles)) batch of weights."""
-        first = bundles[0]
-        return Theorem2Traces(
-            first.n,
-            first.n_omega,
-            _mix(bundles, weights, "cross", 4),
-            _mix(bundles, weights, "pair", 4),
-            _mix(bundles, weights, "site", 2),
-            _mix(bundles, weights, "base", 0),
-        )
+    _kept = ("n", "n_omega")
+    _mixed = (("cross", 4), ("pair", 4), ("site", 2), ("base", 0))
+    combine = staticmethod(_combine)
 
 
 class Margins(NamedTuple):
@@ -251,12 +241,7 @@ def certified(margin, scale, terms: int, dim: int):
     crosses any absolute tolerance once the probe norms are large.
     """
     gamma = summation_gamma(terms + dim)
-    return margin > DEFAULT_TOLERANCES.detection + gamma * scale
-
-
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+    return margin > DETECTION_TOL + gamma * scale
 
 
 def _tuple_orders(n: int, big_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +302,7 @@ class _Criterion:
         """Bundle of a dense, pure or white-noise state (`tensor.State`), or
         of a `Mixture`: the weighted sum of its components' bundles."""
         if rho.dims.dims != self.dims.dims:
-            raise ValueError("state dims do not match probe dims")
+            raise ValueError(f"state dims {rho.dims.dims} do not match probe dims {self.dims.dims}")
         if isinstance(rho, Mixture):
             bundles = [self._traces(c) for c in rho.components]
             return type(bundles[0]).combine(bundles, rho.weights)

@@ -46,11 +46,12 @@ __all__ = [
 ]
 
 
-def _check_oracle_cap(rho: DensityMatrix) -> None:
+def _two_copies(rho: DensityMatrix) -> np.ndarray:
     if rho.dims.total_dim > ORACLE_DIM_CAP:
         raise ValueError(
             f"dimension {rho.dims.total_dim} exceeds the oracle per-copy cap {ORACLE_DIM_CAP}"
         )
+    return np.kron(rho.mat, rho.mat)
 
 
 def doubled_term(
@@ -64,8 +65,7 @@ def doubled_term(
     The permutation is applied to the operator pair first: the value is
     Tr[(A^dag x B^dag) rho^(x2) (A x B)] for (A, B) = swap_on_subset(x, y, alpha).
     """
-    _check_oracle_cap(rho)
-    rr = np.kron(rho.mat, rho.mat)
+    rr = _two_copies(rho)
     a, b = swap_on_subset(x, y, alpha)
     m = np.kron(assemble(a), assemble(b))
     # Tr[M^dag RR M] evaluated as <M, RR M> to save one big matmul
@@ -78,8 +78,7 @@ def doubled_lhs(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> c
     Under the adopted reading P(X x Y) = Y x X, so the value equals
     Tr[(X^dag x Y^dag) rho^(x2) (Y x X)] = |Tr[X^dag rho Y]|^2.
     """
-    _check_oracle_cap(rho)
-    rr = np.kron(rho.mat, rho.mat)
+    rr = _two_copies(rho)
     left = np.kron(assemble(x).conj().T, assemble(y).conj().T)
     right = np.kron(assemble(y), assemble(x))
     return complex(np.einsum("ij,ji->", left, rr @ right))
@@ -96,7 +95,9 @@ class StepResult:
     failures: int = 0
     worst_slack: float = float("inf")
 
-    def record(self, slack: float) -> None:
+    def record(self, slack: float, *sides: float) -> None:
+        """Record `slack` relative to the larger of 1 and the compared sides."""
+        slack /= max((1.0, *sides))
         self.trials += 1
         self.worst_slack = min(self.worst_slack, slack)
         if slack < -ORACLE_TOL:
@@ -155,35 +156,27 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
                 frozenset(i + 1 for i in range(n) if mask >> i & 1)
             )
             a_op, b_op = swap_on_subset(x, y, alpha)
-            lit = doubled_term(rho, x, y, alpha)
-            fac = sandwich_trace(rho, a_op) * sandwich_trace(rho, b_op)
-            worst = max(worst, abs(lit - fac) / max(1.0, abs(fac)))
-
-            lit_lhs = doubled_lhs(rho, x, y)
-            fac_lhs = abs(cross_trace(rho, x, y)) ** 2
-            worst = max(worst, abs(lit_lhs - fac_lhs) / max(1.0, abs(fac_lhs)))
-
             # site-probe forms: one random (i, j, s, t) tuple per instance
             omegas = [
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             ]
-            ev = Theorem2Evaluator(x, omegas)
-            tr = ev.traces(rho)
-            i, j = rng.permutation(n)[:2]
-            x_i = x.replace_factor(int(i) + 1, omegas[0])
-            x_ij = x_i.replace_factor(int(j) + 1, omegas[0])
-            lit_pair = doubled_term(rho, x_i, x.replace_factor(int(j) + 1, omegas[0]),
-                                    PermutationAction(frozenset({int(i) + 1})))
-            fac_pair = sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)
-            worst = max(worst, abs(lit_pair - fac_pair) / max(1.0, abs(fac_pair)))
-
-            lit_diag = doubled_term(rho, x_i, x_i, PermutationAction(frozenset()))
-            fac_diag = sandwich_trace(rho, x_i) ** 2
-            worst = max(worst, abs(lit_diag - fac_diag) / max(1.0, abs(fac_diag)))
-
-            fac_cross = abs(tr.cross[0, 0, int(i), int(j)]) ** 2
-            lit_cross = doubled_lhs(rho, x_i, x.replace_factor(int(j) + 1, omegas[0]))
-            worst = max(worst, abs(lit_cross - fac_cross) / max(1.0, abs(fac_cross)))
+            tr = Theorem2Evaluator(x, omegas).traces(rho)
+            i, j = (int(v) for v in rng.permutation(n)[:2])
+            x_i = x.replace_factor(i + 1, omegas[0])
+            x_j = x.replace_factor(j + 1, omegas[0])
+            x_ij = x_i.replace_factor(j + 1, omegas[0])
+            # (literal doubled-space value, factorized value)
+            for lit, fac in (
+                (doubled_term(rho, x, y, alpha),
+                 sandwich_trace(rho, a_op) * sandwich_trace(rho, b_op)),
+                (doubled_lhs(rho, x, y), abs(cross_trace(rho, x, y)) ** 2),
+                (doubled_term(rho, x_i, x_j, PermutationAction(frozenset({i + 1}))),
+                 sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)),
+                (doubled_term(rho, x_i, x_i, PermutationAction(frozenset())),
+                 sandwich_trace(rho, x_i) ** 2),
+                (doubled_lhs(rho, x_i, x_j), abs(tr.cross[0, 0, i, j]) ** 2),
+            ):
+                worst = max(worst, abs(lit - fac) / max(1.0, abs(fac)))
             count += 1
     return {
         "trials": count,
@@ -252,12 +245,10 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
         triangle_rhs = sum(
             w * abs(cross_trace(r, x, y)) for w, r in zip(weights, components)
         )
-        scale = max(1.0, lhs_mixed, triangle_rhs)
-        report.step("t1-mixture-triangle").record((triangle_rhs - lhs_mixed) / scale)
+        report.step("t1-mixture-triangle").record(triangle_rhs - lhs_mixed, lhs_mixed, triangle_rhs)
 
         rep = Theorem1Evaluator(x, y).evaluate(pure, k)
-        scale = max(1.0, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
-        report.step("t1-pure-bound").record(-rep.margin / scale)
+        report.step("t1-pure-bound").record(-rep.margin, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
 
         for mask in (1, full - 1, full >> 1):
             alpha = PermutationAction(
@@ -274,8 +265,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
                 max(sum(w * a for w, a in zip(weights, a_vals)), 0.0)
                 * max(sum(w * b for w, b in zip(weights, b_vals)), 0.0)
             )
-            scale = max(1.0, lhs_cs, rhs_cs)
-            report.step("t1-cauchy-schwarz").record((rhs_cs - lhs_cs) / scale)
+            report.step("t1-cauchy-schwarz").record(rhs_cs - lhs_cs, lhs_cs, rhs_cs)
 
         # --- site-probe criterion chain (equal local dims guaranteed here) ---
         omegas = [
@@ -289,14 +279,12 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
 
         lhs_mixed2 = float(np.sum(np.abs(mixed_tr.cross)))
         tri2 = sum(w * float(np.sum(np.abs(t.cross))) for w, t in zip(weights, comp_tr))
-        scale = max(1.0, lhs_mixed2, tri2)
-        report.step("t2-mixture-triangle").record((tri2 - lhs_mixed2) / scale)
+        report.step("t2-mixture-triangle").record(tri2 - lhs_mixed2, lhs_mixed2, tri2)
 
         pure_tr = comp_tr[0]
         for kk in range(1, k + 1):
             rep2 = ev.report(pure_tr, kk)
-            scale = max(1.0, rep2.lhs, rep2.rhs)
-            report.step("t2-pure-bound").record(-rep2.margin / scale)
+            report.step("t2-pure-bound").record(-rep2.margin, rep2.lhs, rep2.rhs)
 
         lhs_cs2 = sum(
             w * np.sqrt(max(t.base, 0.0) * np.maximum(t.pair, 0.0))
@@ -306,8 +294,8 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
             max(sum(w * t.base for w, t in zip(weights, comp_tr)), 0.0)
             * np.maximum(sum(w * t.pair for w, t in zip(weights, comp_tr)), 0.0)
         )
-        worst = float(np.min(rhs_cs2 - lhs_cs2))
-        scale = max(1.0, float(np.max(lhs_cs2)), float(np.max(rhs_cs2)))
-        report.step("t2-cauchy-schwarz").record(worst / scale)
+        report.step("t2-cauchy-schwarz").record(
+            float(np.min(rhs_cs2 - lhs_cs2)), float(np.max(lhs_cs2)), float(np.max(rhs_cs2))
+        )
 
     return report

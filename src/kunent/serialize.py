@@ -18,20 +18,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import DensityMatrix, ProductOperator, PureState, SiteDims
+from .tensor import DensityMatrix, ProductOperator, SiteDims
 
 __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
-    "density_matrix_to_dict",
-    "density_matrix_from_dict",
     "load_density_matrix",
     "save_density_matrix",
     "product_operator_to_list",
     "product_operator_from_list",
     "load_product_operator",
     "load_factor",
-    "pure_state_to_dict",
 ]
 
 
@@ -83,28 +80,23 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
     return dims, flat.reshape(d, d)
 
 
-def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    return matrix_to_dict(rho.mat, rho.dims.dims)
-
-
-def density_matrix_from_dict(obj: Mapping) -> DensityMatrix:
-    dims, mat = matrix_from_dict(obj)
-    return DensityMatrix(SiteDims(dims), mat)
-
-
 def load_density_matrix(path: str | Path) -> DensityMatrix:
     with open(path, encoding="utf-8") as fh:
-        return density_matrix_from_dict(json.load(fh))
+        dims, mat = matrix_from_dict(json.load(fh))
+    return DensityMatrix(SiteDims(dims), mat)
 
 
 def save_density_matrix(rho: DensityMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(density_matrix_to_dict(rho), fh)
+        json.dump(matrix_to_dict(rho.mat, rho.dims.dims), fh)
 
 
-def pure_state_to_dict(psi: PureState) -> dict:
-    """Serialize a pure state as its rank-one density matrix."""
-    return density_matrix_to_dict(psi.to_density_matrix())
+def _factor_from_dict(obj: Mapping, what: str) -> np.ndarray:
+    """The matrix of a single-site factor object; `what` names it in errors."""
+    dims, mat = matrix_from_dict(obj)
+    if len(dims) != 1:
+        raise ValueError(f"{what} must be a single-site matrix (dims of length 1), got dims {list(dims)}")
+    return mat
 
 
 def product_operator_to_list(op: ProductOperator) -> list[dict]:
@@ -114,18 +106,8 @@ def product_operator_to_list(op: ProductOperator) -> list[dict]:
 
 
 def product_operator_from_list(objs: Sequence[Mapping]) -> ProductOperator:
-    factors = []
-    site_dims = []
-    for idx, obj in enumerate(objs):
-        dims, mat = matrix_from_dict(obj)
-        if len(dims) != 1:
-            raise ValueError(
-                f"factor {idx} must be a single-site matrix (dims of length 1), "
-                f"got dims {list(dims)}"
-            )
-        site_dims.append(dims[0])
-        factors.append(mat)
-    return ProductOperator(SiteDims(tuple(site_dims)), tuple(factors))
+    factors = [_factor_from_dict(obj, f"factor {idx}") for idx, obj in enumerate(objs)]
+    return ProductOperator(SiteDims(tuple(len(f) for f in factors)), tuple(factors))
 
 
 def load_product_operator(path: str | Path) -> ProductOperator:
@@ -139,8 +121,4 @@ def load_product_operator(path: str | Path) -> ProductOperator:
 def load_factor(path: str | Path) -> np.ndarray:
     """Load one single-site factor matrix."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    dims, mat = matrix_from_dict(obj)
-    if len(dims) != 1:
-        raise ValueError(f"{path}: expected a single-site matrix, got dims {list(dims)}")
-    return mat
+        return _factor_from_dict(json.load(fh), str(path))

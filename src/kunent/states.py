@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import WEIGHT_SUM_TOL
 from .tensor import (
     DensityMatrix,
     ProductOperator,
@@ -45,8 +46,6 @@ __all__ = [
 
 def ghz(n: int) -> PureState:
     """(|0..0> + |1..1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ValueError(f"GHZ state needs n >= 2 qubits, got {n}")
     dims = qubits(n)
     amp = np.zeros(dims.total_dim, dtype=complex)
     amp[0] = amp[-1] = 1.0 / sqrt(2.0)
@@ -56,10 +55,6 @@ def ghz(n: int) -> PureState:
 def w_state(n: int, d: int) -> PureState:
     """Equal superposition of the n(d-1) basis states with exactly one site
     excited to a level in 1..d-1 and all other sites in level 0."""
-    if n < 2:
-        raise ValueError(f"W state needs n >= 2 sites, got {n}")
-    if d < 2:
-        raise ValueError(f"W state needs local dimension d >= 2, got {d}")
     dims = qudits(n, d)
     amp = np.zeros(dims.total_dim, dtype=complex)
     coeff = 1.0 / sqrt(n * (d - 1))
@@ -96,7 +91,7 @@ def component_weights(signal_weights) -> np.ndarray:
     `signal_weights` has shape (..., n_signals): one mixture, or a batch of
     mixtures along the leading axes.  Every weight must be finite and
     nonnegative, and each mixture's signal weights must sum to at most 1
-    (within 1e-12).
+    (within `config.WEIGHT_SUM_TOL`).
     """
     w = np.asarray(signal_weights, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -105,7 +100,7 @@ def component_weights(signal_weights) -> np.ndarray:
         raise ValueError(f"negative mixture weight in {w.tolist()}")
     # summed left to right, from 0, like a Python sum over one mixture
     total = sum(w[..., c] for c in range(w.shape[-1]))
-    if np.any(total > 1.0 + 1e-12):
+    if np.any(total > 1.0 + WEIGHT_SUM_TOL):
         raise ValueError(f"mixture weights sum to {np.max(total)} > 1")
     return np.concatenate([w, np.broadcast_to(1.0 - total, w.shape[:-1])[..., None]], axis=-1)
 
@@ -206,10 +201,15 @@ def _random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _random_blocks(n: int, k: int, rng: np.random.Generator) -> list[list[int]]:
-    """0-based sites of k uniform singletons, in order, then of the other n-k."""
+def _check_k(n: int, k: int) -> None:
+    """k unentangled particles among n sites: 1 <= k <= n - 1."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+
+
+def _random_blocks(n: int, k: int, rng: np.random.Generator) -> list[list[int]]:
+    """0-based sites of k uniform singletons, in order, then of the other n-k."""
+    _check_k(n, k)
     singles = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
     return [[s] for s in singles] + [[s for s in range(n) if s not in singles]]
 

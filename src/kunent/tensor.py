@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, dim_cap
+from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, dim_cap
 
 __all__ = [
     "SiteDims",
@@ -79,14 +79,9 @@ class SiteDims:
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) < 2:
-            raise ValueError(f"need at least 2 sites, got {len(dims)}")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        # every d_i >= 2, so past cap.bit_length() sites the product is over the cap
-        cap = dim_cap()
-        if len(dims) > cap.bit_length() or prod(dims) > cap:
-            raise ValueError(_over_cap(len(dims), cap))
+        _check_site_count(len(dims), dims)
 
     @property
     def n(self) -> int:
@@ -104,8 +99,15 @@ class SiteDims:
         return d
 
 
-def _over_cap(n: int, cap: int) -> str:
-    return f"N={n} sites exceed the dense-matrix cap {cap} on the total dimension"
+def _check_site_count(n: int, dims: tuple[int, ...] = ()) -> None:
+    """Reject fewer than 2 sites, or n sites of dimensions `dims` whose
+    product is over the dense-matrix cap.  Every dimension is >= 2, so n
+    past cap.bit_length() is rejected before anything is multiplied."""
+    cap = dim_cap()
+    if n < 2:
+        raise ValueError(f"need at least 2 sites, got {n}")
+    if n > cap.bit_length() or prod(dims) > cap:
+        raise ValueError(f"N={n} sites exceed the dense-matrix cap {cap} on the total dimension")
 
 
 def qubits(n: int) -> SiteDims:
@@ -114,11 +116,9 @@ def qubits(n: int) -> SiteDims:
 
 
 def qudits(n: int, d: int) -> SiteDims:
-    """Shorthand for n sites of dimension d; an n past the cap is rejected
-    before the n-tuple is built."""
-    cap = dim_cap()
-    if n > cap.bit_length():
-        raise ValueError(_over_cap(n, cap))
+    """Shorthand for n sites of dimension d; an n below 2 or past the cap is
+    rejected before the n-tuple is built."""
+    _check_site_count(n)
     return SiteDims((d,) * n)
 
 
@@ -168,7 +168,7 @@ class PureState:
         amp = _frozen_complex(self.amplitudes, (self.dims.total_dim,), "amplitudes")
         object.__setattr__(self, "amplitudes", amp)
         norm2 = float(np.vdot(amp, amp).real)
-        if abs(norm2 - 1.0) > DEFAULT_TOLERANCES.norm:
+        if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -194,19 +194,18 @@ class DensityMatrix:
         d = self.dims.total_dim
         mat = _frozen_complex(self.mat, (d, d), "density matrix")
         object.__setattr__(self, "mat", mat)
-        tol = DEFAULT_TOLERANCES
         # over row blocks of <= 2^18 entries, so no temporary is as large as rho
         step = max(1, (1 << 18) // d)
         herm_dev = max(float(np.max(np.abs(mat[r:r + step] - mat[:, r:r + step].conj().T)))
                        for r in range(0, d, step))
-        if herm_dev > tol.hermiticity:
+        if herm_dev > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.trace:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         if self._check_psd:
             lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -tol.psd:
+            if lo < -PSD_TOL:
                 raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
 
@@ -281,7 +280,7 @@ def sandwich_trace(rho: State, m: ProductOperator) -> float:
     """
     _check_dims(rho, m)
     value = product_trace(rho, [f @ f.conj().T for f in m.factors]).real
-    if -DEFAULT_TOLERANCES.psd <= value < 0.0:
+    if -PSD_TOL <= value < 0.0:
         return 0.0
     return value
 

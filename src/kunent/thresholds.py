@@ -33,7 +33,7 @@ from .criteria import (
     w_probe,
     w_tilde_probe,
 )
-from .states import NoiseFamily, component_weights, ghz_noise_family, w_noise_family
+from .states import NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
 from .tensor import WhiteNoise
 
 __all__ = [
@@ -128,9 +128,7 @@ class FamilyMargin:
         return float(self.margins(params, k).margin)
 
 
-def _bisect_margin(
-    f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Root of each row of a batch of margin functions on [lo, hi].
 
     ``f(t)`` maps one scanned weight per row to the criterion's `Margins`
@@ -139,7 +137,7 @@ def _bisect_margin(
     - not certified at hi: root NaN (no detection), residual f(hi);
     - certified at lo: root lo, residual f(lo);
     - otherwise the bracket is halved until it is at most `tol` wide (or
-      `max_iter` times); root is its midpoint, residual f(root).
+      `_MAX_ITER` times); root is its midpoint, residual f(root).
 
     The endpoints use the certificate rule (`Margins.detected`): they
     decide whether the slice holds a detection at all.  Inside the bracket
@@ -160,7 +158,7 @@ def _bisect_margin(
     at_lo = f(lo)
     bisect = at_hi.detected & ~at_lo.detected
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         live = bisect & (b - a > tol)
         if not live.any():
             break
@@ -196,7 +194,7 @@ def _slice_thresholds(
         params[:, axis] = t
         return fm.margins(params, k)
 
-    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi), tol, _MAX_ITER)
+    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi), tol)
     return np.where(empty, np.nan, root), np.where(empty, np.nan, residual)
 
 
@@ -243,8 +241,7 @@ def ghz_noise_closed_form(n: int, k: int) -> float:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+    _check_k(n, k)
     c = (2**n - 2) / 2**n
     return c / ((2**k - 1) + c)
 

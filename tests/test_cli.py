@@ -220,6 +220,44 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--rho", "ghz:4:p=0.5", "--k", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--preset", "ghz-probe", "--theorem", "2"], "preset ghz-probe drives theorem 1"),
+        (["--preset", "w-probe"], "preset w-probe drives theorem 2"),
+        (["--x", "x.json"], "theorem 1 needs both --x and --y"),
+        (["--theorem", "2", "--x", "x.json"], "theorem 2 needs both --x and --omega"),
+    ])
+    def test_probe_flag_mismatch_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "eval", "--rho", "ghz:4:p=0.5", *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv,count", [
+        (["eval", "--rho", "ghz:-2"], -2), (["eval", "--rho", "w:-1:3"], -1),
+        (["table1", "--n", "-3"], -3),
+    ])
+    def test_too_few_sites_named_exit_2(self, capsys, argv, count):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"need at least 2 sites, got {count}" in err
+
+    def test_state_and_probe_dims_named_exit_2(self, capsys, tmp_path):
+        x_path = tmp_path / "x.json"
+        x_path.write_text(json.dumps([matrix_to_dict(np.eye(2), [2])] * 3))
+        (tmp_path / "w.json").write_text(json.dumps(matrix_to_dict(np.eye(2), [2])))
+        code, out, err = run_cli(
+            capsys, "eval", "--rho", "ghz:4", "--theorem", "2", "--x", str(x_path),
+            "--omega", str(tmp_path / "w.json"),
+        )
+        assert code == 2 and out == ""
+        assert "state dims (2, 2, 2, 2) do not match probe dims (2, 2, 2)" in err
+
+    def test_per_tuple_only_at_k_1_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--rho", "w:3:3", "--theorem", "2", "--per-tuple", "--k", "2",
+        )
+        assert code == 2 and out == ""
+        assert "defined for k=1, got k=2" in err
+
     def test_preset_probe_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--rho", "ghz:4:p=0.5", "--preset", "ghz-probe",
@@ -319,6 +357,40 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "--config", str(cfg), "table1")
         assert code == 0
         assert len(out.strip().split("\n")) == 4  # header + k=1..3
+
+    def test_unreadable_config_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--config", str(tmp_path / "none.json"), "table1")
+        assert code == 2 and out == ""
+        assert "cannot read config" in err
+
+    @pytest.mark.parametrize("config,argv", [
+        ({"k": 1.5}, ["eval", "--rho", "ghz:3", "--csv"]),
+        ({"theorem": 3}, ["eval", "--rho", "ghz:3", "--csv"]),
+        ({"n": 2.5}, ["table1"]),
+        ({"csv": 1}, ["eval", "--rho", "ghz:3"]),
+        ({"per_tuple": "no"}, ["eval", "--rho", "ghz:3", "--theorem", "2"]),
+    ])
+    def test_config_values_checked_as_flags(self, capsys, tmp_path, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (key,) = config
+        assert f"argument --{key.replace('_', '-')}" in captured.err
+
+    def test_config_switches_and_values(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theorem": 2, "per_tuple": True, "csv": False, "k": 1}))
+        flags = ["eval", "--rho", "w:3:2:p=1", "--theorem", "2", "--per-tuple", "--k", "1"]
+        assert run_cli(capsys, "--config", str(cfg), "eval", "--rho", "w:3:2:p=1") == (
+            run_cli(capsys, *flags)
+        )
+        # the --config=PATH form, and a command-line switch the config leaves off
+        code, out, _ = run_cli(capsys, f"--config={cfg}", "eval", "--rho", "w:3:2:p=1", "--csv")
+        assert code == 0 and out.startswith("theorem,k,")
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

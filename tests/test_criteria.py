@@ -25,7 +25,7 @@ from kunent import (
     w_probe,
     w_state,
 )
-from kunent.config import DEFAULT_TOLERANCES, summation_gamma
+from kunent.config import DETECTION_TOL, summation_gamma
 from kunent.criteria import Theorem2K1Evaluator
 from kunent.tensor import DensityMatrix, WhiteNoise
 from kunent.thresholds import FamilyMargin, example2_closed_form
@@ -274,6 +274,18 @@ class TestTheorem2Margin:
         with pytest.raises(ValueError, match="k must"):
             Theorem2Evaluator(x, om).evaluate(rho, 0)
 
+    def test_omega_must_not_be_empty(self):
+        x, _ = w_probe(qubits(3))
+        with pytest.raises(ValueError, match="omega must contain at least one operator"):
+            Theorem2Evaluator(x, [])
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_state_dims_must_match_probe_dims(self, theorem):
+        x, y = ghz_probe(qubits(3))
+        ev = Theorem1Evaluator(x, y) if theorem == 1 else Theorem2Evaluator(x, [RAISE])
+        with pytest.raises(ValueError, match=r"state dims \(2, 2\) do not match probe dims \(2, 2, 2\)"):
+            ev.evaluate(ghz_noise_family(2).evaluate(0.5), 1)
+
     def test_omega_shape_validated(self, rng):
         dims = qubits(3)
         rho = random_mixed_state(dims, rng)
@@ -374,6 +386,12 @@ class TestTheorem2K1:
         assert rep.detected
         assert rep.margin == pytest.approx(0.25)
 
+    def test_defined_only_at_k_1(self):
+        x, om = w_probe(qubits(3))
+        ev = Theorem2K1Evaluator(x, om)
+        with pytest.raises(ValueError, match="defined for k=1, got k=2"):
+            ev.report(ev.traces(w_state(3, 2)), 2)
+
     def test_margin_is_largest_tuple_margin(self, rng):
         dims = qubits(3)
         rho = random_mixed_state(dims, rng)
@@ -411,7 +429,7 @@ class TestCriterionReport:
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
         rep = Theorem1Evaluator(x, y).evaluate(rho, 1)
-        allowance = DEFAULT_TOLERANCES.detection + summation_gamma(2 + 4) * max(
+        allowance = DETECTION_TOL + summation_gamma(2 + 4) * max(
             2 * rep.lhs, rep.rhs
         )
         assert rep.detected == (rep.margin > allowance)
@@ -461,7 +479,7 @@ class TestCertificateSoundness:
             for rho in self._separable_states(dims, rng):
                 rep = ev.report(ev.traces(rho), n - 1)
                 assert not rep.detected, (seed, scale, type(rho).__name__, rep.margin)
-                old_rule += rep.margin > DEFAULT_TOLERANCES.detection
+                old_rule += rep.margin > DETECTION_TOL
         if n >= 4:
             assert old_rule > 0  # the absolute rule certified some of these
 

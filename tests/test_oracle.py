@@ -22,7 +22,7 @@ from kunent import (
     swap_on_subset,
     verify_proof_chain,
 )
-from kunent.oracle import factorization_check
+from kunent.oracle import ProofChainReport, factorization_check
 
 from conftest import random_mixed_state, random_product_operator, random_pure_product
 
@@ -172,6 +172,15 @@ class TestProofChain:
         # trial indices 9, 19, ... use the rank-1 + 1e-13 noise stress case
         report = verify_proof_chain(20, seed=1)
         assert report.passed
+
+    def test_negative_slack_counts_as_failure(self):
+        report = ProofChainReport()
+        report.step("ok").record(0.0)
+        report.step("ok").record(-0.5e-10)
+        assert report.passed
+        report.step("bad").record(-3e-10, 2.0)  # relative slack -1.5e-10
+        assert report.steps["bad"].failures == 1 and not report.passed
+        assert report.steps["bad"].worst_slack == -1.5e-10
 
     def test_report_dict_shape(self):
         report = verify_proof_chain(5, seed=0)

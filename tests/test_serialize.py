@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kunent import ProductOperator, ghz, qubits
+from kunent import ProductOperator, qubits
 from kunent.serialize import (
-    density_matrix_from_dict,
     load_density_matrix,
+    load_factor,
     load_product_operator,
     matrix_from_dict,
     matrix_to_dict,
     product_operator_from_list,
     product_operator_to_list,
-    pure_state_to_dict,
     save_density_matrix,
 )
 
@@ -96,15 +95,11 @@ class TestDensityMatrixIO:
         assert_allclose(back.mat, rho.mat)
         assert back.dims.dims == (2, 2)
 
-    def test_validation_applies_on_load(self):
-        bad = {"dims": [2, 2], "entries": [[1.0, 0.0]] * 16}
+    def test_validation_applies_on_load(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dims": [2, 2], "entries": [[1.0, 0.0]] * 16}))
         with pytest.raises(ValueError, match="trace|Hermitian"):
-            density_matrix_from_dict(bad)
-
-    def test_pure_state_serializes_as_projector(self):
-        obj = pure_state_to_dict(ghz(2))
-        rho = density_matrix_from_dict(obj)
-        assert rho.mat[0, 3] == pytest.approx(0.5)
+            load_density_matrix(path)
 
 
 class TestProductOperatorIO:
@@ -125,6 +120,14 @@ class TestProductOperatorIO:
         obj = matrix_to_dict(np.eye(4, dtype=complex), [2, 2])
         with pytest.raises(ValueError, match="single-site"):
             product_operator_from_list([obj])
+
+    def test_load_factor_must_be_single_site(self, tmp_path):
+        path = tmp_path / "two_site.json"
+        path.write_text(json.dumps(matrix_to_dict(np.eye(4, dtype=complex), [2, 2])))
+        with pytest.raises(ValueError, match="single-site"):
+            load_factor(path)
+        path.write_text(json.dumps(matrix_to_dict(np.eye(2, dtype=complex), [2])))
+        assert_allclose(load_factor(path), np.eye(2))
 
     def test_file_must_hold_array(self, tmp_path):
         path = tmp_path / "notalist.json"

@@ -17,6 +17,7 @@ from kunent import (
     cross_trace,
     product_trace,
     qubits,
+    qudits,
     WhiteNoise,
     pair_reduced,
     sandwich_trace,
@@ -56,6 +57,18 @@ class TestSiteDims:
                 qubits(n)
         with pytest.raises(ValueError, match="N=5000 sites exceed"):
             SiteDims((3,) * 5000)
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_site_count_named_before_tuple_is_built(self, n):
+        with pytest.raises(ValueError, match=f"need at least 2 sites, got {n}$"):
+            qudits(n, 3)
+
+    @pytest.mark.parametrize("raw,message", [("abc", "must be an integer, got 'abc'"),
+                                             ("1", "must be >= 2, got 1")])
+    def test_invalid_env_cap_rejected(self, monkeypatch, raw, message):
+        monkeypatch.setenv(DIM_CAP_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=f"{DIM_CAP_ENV_VAR} {message}"):
+            SiteDims((2, 2))
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv(DIM_CAP_ENV_VAR, "16")
