@@ -241,21 +241,21 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
 
 
 def cmd_eval(args) -> int:
+    # not required by the parser, so that a --config can supply it
+    if args.rho is None:
+        raise InputError("eval needs --rho, on the command line or in the --config file")
     label, rho = parse_state_spec(args.rho)
     try:
         evaluator = _build_evaluator(args, rho.dims)
     except OSError as exc:
         raise InputError(str(exc)) from exc
 
-    n = rho.dims.n
     if args.k is not None:
-        if not 1 <= args.k <= n - 1:
-            raise InputError(f"--k must be in 1..{n - 1} for this state, got {args.k}")
         ks = [args.k]
     elif isinstance(evaluator, Theorem2K1Evaluator):
         ks = [1]
     else:
-        ks = list(range(1, n))
+        ks = list(range(1, rho.dims.n))
 
     traces = evaluator.traces(rho)
     reports = [evaluator.report(traces, k) for k in ks]
@@ -272,9 +272,7 @@ def cmd_table1(args) -> int:
 def cmd_fig1(args) -> int:
     if args.n < 2:
         raise InputError(f"--n must be >= 2, got {args.n}")
-    rows = []
-    for k in range(1, args.n):
-        rows.extend(pq_boundary_scan(args.n, args.d, k, args.grid, probe=args.probe))
+    rows = pq_boundary_scan(args.n, args.d, range(1, args.n), args.grid, probe=args.probe)
     gridline = "q" if args.probe == "w" else "p"
     star = "p_star" if args.probe == "w" else "q_star"
     sys.stdout.write(boundary_scan_csv(rows, gridline_name=gridline, star_name=star))
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a criterion on a state", description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_eval.add_argument("--rho", required=True, help="state spec or JSON file")
+    p_eval.add_argument("--rho", help="state spec or JSON file (required)")
     p_eval.add_argument("--theorem", type=int, choices=(1, 2), default=1)
     p_eval.add_argument("--k", type=int, default=None, help="default: all valid k")
     p_eval.add_argument(

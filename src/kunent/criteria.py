@@ -168,14 +168,14 @@ def swap_on_subset(
 def _combine(bundles: Sequence, weights):
     """Bundle of the mixture with one weight per bundle, or of each row of a
     (B, len(bundles)) batch of weights.  The class's `_kept` fields come from
-    the first bundle; each of the `_mixed` (name, rank in one bundle) fields
-    that follow them is sum_c weights[..., c] * bundles[c].name, added left
-    to right, with the weights' leading axes (none, or (B,)) leading."""
+    the first bundle; each of the `_mixed` fields that follow them is
+    sum_c weights[..., c] * bundles[c].name, added left to right from 0,
+    with the weights' leading axes (none, or (B,)) leading."""
     first = bundles[0]
     w = np.asarray(weights, dtype=float)
     fields = [getattr(first, name) for name in first._kept]
-    for name, rank in first._mixed:
-        pad = (...,) + (None,) * rank
+    for name in first._mixed:
+        pad = (...,) + (None,) * np.ndim(getattr(first, name))
         fields.append(sum(w[..., c][pad] * getattr(b, name) for c, b in enumerate(bundles)))
     return type(first)(*fields)
 
@@ -190,7 +190,7 @@ class Theorem1Traces:
     subset: np.ndarray
 
     _kept = ("n",)
-    _mixed = (("cross", 0), ("subset", 1))
+    _mixed = ("cross", "subset")
     combine = staticmethod(_combine)
 
 
@@ -212,7 +212,7 @@ class Theorem2Traces:
     base: float | np.ndarray
 
     _kept = ("n", "n_omega")
-    _mixed = (("cross", 4), ("pair", 4), ("site", 2), ("base", 0))
+    _mixed = ("cross", "pair", "site", "base")
     combine = staticmethod(_combine)
 
 
@@ -475,8 +475,9 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
 
     def _evaluate(self, traces: Theorem2Traces, k: int) -> tuple[Margins, np.ndarray]:
         """Margins plus every tuple margin |cross|^2 - base * pair."""
-        if k != 1:
-            raise ValueError(f"the per-tuple variant is defined for k=1, got k={k}")
+        k = np.ravel(k)
+        if np.any(k != 1):
+            raise ValueError(f"the per-tuple variant is defined for k=1, got k={k[k != 1][0]}")
         flat, listed = (*np.shape(traces.base), -1), self._listed
         base = np.maximum(traces.base, 0.0)
         lhs = (np.abs(traces.cross) ** 2).reshape(flat).take(listed, axis=-1)

@@ -201,8 +201,11 @@ def _random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _check_k(n: int, k: int) -> None:
-    """k unentangled particles among n sites: 1 <= k <= n - 1."""
+def _check_k(n: int, k) -> None:
+    """k unentangled particles among n sites: 1 <= k <= n - 1, for an int k
+    or for each k of an int array (the first bad one is named)."""
+    if isinstance(k, np.ndarray):
+        k = next(iter(k[(k < 1) | (k > n - 1)]), 1)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
 

@@ -4,11 +4,12 @@ Every trace entering a criterion is linear in rho, and a noise family is a
 weighted sum of fixed components (pure signals and white noise), so the
 criterion's trace bundle along the family is the same weighted sum of
 per-component bundles.  `FamilyMargin` computes those component bundles
-once, from the signals' amplitudes and analytically for white noise; a
-margin evaluation at any mixing weights is then a few array operations,
-and one call evaluates a whole batch of weights.  Every threshold, of one
-slice, a table row or all gridlines of a scan, comes from one batched
-bisection (`_slice_thresholds`).
+once, from the signals' amplitudes and analytically for white noise, and
+keeps only their distinct columns; a margin evaluation at any mixing
+weights is then a few array operations, and one call evaluates a whole
+batch of weights, each row at its own k.  Every threshold comes from a
+batched bisection (`_slice_thresholds`): `ghz_threshold_table` bisects
+all its k in one batch, and `pq_boundary_scan` all gridlines of one k.
 
 The margin of the summed criteria (T1, and T2 for every k) is *convex*
 in the scanned weight, not affine: |affine| terms minus square roots of
@@ -19,7 +20,7 @@ not positive at the low end it crosses zero at most once; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -94,35 +95,53 @@ class FamilyMargin:
     built.  `margins` evaluates a batch of parameter rows at once; a row
     gives the same bits as a one-row call, because bundles are combined
     left to right and each row is reduced in the same order.
+
+    Site-permutation symmetric families repeat entries (the W family's
+    bundles at n = 5, d = 4 hold 6 distinct columns among 466 entries), so
+    each mixed field is stacked over the components once and only its
+    distinct columns (`np.unique`) are mixed, by the bundle class's
+    `combine`; one `take` per field restores its shape.  The bits are those
+    of mixing every entry: np.unique merges columns that differ at most in
+    the sign of a zero, and the mix, from 0 + as `sum` does, turns every
+    -0.0 into +0.0.
     """
 
     def __init__(self, family: NoiseFamily, evaluator):
         self.family = family
         self.evaluator = evaluator
-        components = [*family.signals, WhiteNoise(family.dims)]
-        self._bundles = [evaluator.traces(c) for c in components]
-        self._combine = type(self._bundles[0]).combine
+        bundles = [evaluator.traces(c) for c in (*family.signals, WhiteNoise(family.dims))]
+        cls = type(bundles[0])
+        self._combine = cls.combine
+        self._restore, columns = [], []
+        for name in cls._mixed:
+            stacked = np.stack([np.reshape(getattr(b, name), -1) for b in bundles])
+            distinct, inverse = np.unique(stacked, axis=1, return_inverse=True)
+            self._restore.append((name, inverse.reshape(-1), np.shape(getattr(bundles[0], name))))
+            columns.append(distinct)
+        kept = [getattr(bundles[0], name) for name in cls._kept]
+        self._columns = [cls(*kept, *(c[i] for c in columns)) for i in range(len(bundles))]
 
-    def _weights(self, params) -> np.ndarray:
-        """Component weights (..., n_signals + 1) for parameter rows
-        (..., n_signals); the last column is the white-noise weight."""
+    def _bundle(self, params):
+        """Mixture bundle at one parameter row (n_signals,), or at each row
+        of a batch; the white-noise weight is 1 - sum(row)."""
         params = np.asarray(params, dtype=float)
         n_signals = len(self.family.signals)
         if params.ndim == 0 or params.shape[-1] != n_signals:
-            raise ValueError(
-                f"family takes {n_signals} parameters, got {params.shape[-1:] or 'a scalar'}"
-            )
-        return component_weights(params)
+            raise ValueError(f"family takes {n_signals} parameters, "
+                             f"got {params.shape[-1:] or 'a scalar'}")
+        mixed = self._combine(self._columns, component_weights(params))
+        return replace(mixed, **{
+            name: getattr(mixed, name).take(inverse, axis=-1).reshape(params.shape[:-1] + shape)
+            for name, inverse, shape in self._restore
+        })
 
-    def margins(self, params, k: int) -> Margins:
+    def margins(self, params, k) -> Margins:
         """Criterion values at one parameter row, or at each row of a
-        (B, n_signals) batch."""
-        bundle = self._combine(self._bundles, self._weights(params))
-        return self.evaluator.margins(bundle, k)
+        (B, n_signals) batch, at one k or at an int array of one k per row."""
+        return self.evaluator.margins(self._bundle(params), k)
 
     def report(self, params: Sequence[float], k: int) -> CriterionReport:
-        bundle = self._combine(self._bundles, self._weights(params))
-        return self.evaluator.report(bundle, k)
+        return self.evaluator.report(self._bundle(params), k)
 
     def margin(self, params: Sequence[float], k: int) -> float:
         return float(self.margins(params, k).margin)
@@ -131,13 +150,18 @@ class FamilyMargin:
 def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Root of each row of a batch of margin functions on [lo, hi].
 
-    ``f(t)`` maps one scanned weight per row to the criterion's `Margins`
-    there.  Returns (root, residual) arrays, row by row:
+    ``f(t, rows)`` maps one scanned weight for each row indexed by `rows`
+    to the criterion's `Margins` there; rows may differ in k.  Returns
+    (root, residual) arrays, row by row:
 
     - not certified at hi: root NaN (no detection), residual f(hi);
     - certified at lo: root lo, residual f(lo);
     - otherwise the bracket is halved until it is at most `tol` wide (or
       `_MAX_ITER` times); root is its midpoint, residual f(root).
+
+    A step evaluates `f` on the live rows only, whose bracket is still
+    wider than `tol`, and moves their ends in place; a row's margin has the
+    bits of a one-row call, so skipping converged rows moves no root.
 
     The endpoints use the certificate rule (`Margins.detected`): they
     decide whether the slice holds a detection at all.  Inside the bracket
@@ -152,34 +176,33 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.nd
     as detected on the whole slice, although a convex margin positive at
     both ends can still dip below zero between them.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    at_hi = f(hi)
-    at_lo = f(lo)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    every = np.arange(a.size)
+    at_hi = f(b, every)
+    at_lo = f(a, every)
     bisect = at_hi.detected & ~at_lo.detected
-    a, b = lo, hi
+    root = np.where(at_hi.detected, a, np.nan)
+    residual = np.where(at_hi.detected, at_lo.margin, at_hi.margin)
     for _ in range(_MAX_ITER):
-        live = bisect & (b - a > tol)
-        if not live.any():
+        live = np.flatnonzero(bisect & (b - a > tol))
+        if not live.size:
             break
-        mid = 0.5 * (a + b)
-        up = f(mid).margin > 0.0
-        b = np.where(live & up, mid, b)
-        a = np.where(live & ~up, mid, a)
-    mid = 0.5 * (a + b)
-    at_mid = f(np.where(bisect, mid, lo))
-    root = np.where(bisect, mid, np.where(at_hi.detected, lo, np.nan))
-    residual = np.where(
-        bisect, at_mid.margin, np.where(at_hi.detected, at_lo.margin, at_hi.margin)
-    )
+        mid = 0.5 * (a[live] + b[live])
+        up = f(mid, live).margin > 0.0
+        b[live[up]] = mid[up]
+        a[live[~up]] = mid[~up]
+    rows = np.flatnonzero(bisect)
+    if rows.size:
+        root[rows] = 0.5 * (a[rows] + b[rows])
+        residual[rows] = f(root[rows], rows).margin
     return root, residual
 
 
-def _slice_thresholds(
-    fm: FamilyMargin, k: int, fixed: np.ndarray, axis: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _slice_thresholds(fm: FamilyMargin, k, fixed: np.ndarray, axis: int,
+                      tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(root, residual) of the margin along one family parameter, for each
-    row of a (B, n_signals - 1) batch of fixed weights.
+    row of a (B, n_signals - 1) batch of fixed weights, at one k or at
+    one k per row (an int array).
 
     The scanned weight is inserted at column `axis` and bisected over
     [0, 1 - sum(row)] for all rows at once (see `_bisect_margin`).  An empty
@@ -187,12 +210,13 @@ def _slice_thresholds(
     """
     hi = 1.0 - fixed.sum(axis=1)
     empty = hi <= 0.0
-    # one parameter buffer for every step: `margins` keeps no reference to it
     params = np.insert(fixed, axis, 0.0, axis=1)
+    k = np.broadcast_to(k, hi.shape)
 
-    def f(t: np.ndarray) -> Margins:
-        params[:, axis] = t
-        return fm.margins(params, k)
+    def f(t: np.ndarray, rows: np.ndarray) -> Margins:
+        at = params[rows]
+        at[:, axis] = t
+        return fm.margins(at, k[rows])
 
     root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi), tol)
     return np.where(empty, np.nan, root), np.where(empty, np.nan, residual)
@@ -256,8 +280,7 @@ def example2_closed_form(n: int, k: int, d: int) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(n, k)
     num = n * (d - 1) * (2 * n - k - 2)
     return num / (k * d**n + num)
 
@@ -270,18 +293,15 @@ def ghz_threshold_table(n: int = 8) -> list[tuple[int, float, float | None]]:
     """
     family = ghz_noise_family(n)
     fm = FamilyMargin(family, Theorem1Evaluator(*ghz_probe(family.dims)))
-    rows = []
-    for k in range(1, n):
-        (root,), _ = _slice_thresholds(fm, k, np.empty((1, 0)), 0, _TOL)
-        reference = COMPARISON_THRESHOLDS_8QUBIT[k - 1] if n == 8 else None
-        rows.append((k, float(root), reference))
-    return rows
+    roots, _ = _slice_thresholds(fm, np.arange(1, n), np.empty((n - 1, 0)), 0, _TOL)
+    reference = COMPARISON_THRESHOLDS_8QUBIT if n == 8 else (None,) * (n - 1)
+    return [(k, float(root), ref) for k, (root, ref) in enumerate(zip(roots, reference), 1)]
 
 
-def pq_boundary_scan(
-    n: int, d: int, k: int, grid: int, probe: str = "w"
-) -> list[BoundaryPoint]:
-    """Detection boundary of the site-probe criterion over the (p, q) simplex.
+def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
+                     probe: str = "w") -> list[BoundaryPoint]:
+    """Detection boundary of the site-probe criterion over the (p, q) simplex,
+    at one k or at each k of a sequence (rows k-major, one family build).
 
     With ``probe="w"`` the scan bisects the W-signal weight p along q
     gridlines j/grid, j = 0..grid; ``probe="wtilde"`` uses the mirrored
@@ -301,19 +321,16 @@ def pq_boundary_scan(
         raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
+    fm = FamilyMargin(family, evaluator)
     g = np.arange(grid + 1) / grid
-    roots, residuals = _slice_thresholds(
-        FamilyMargin(family, evaluator), k, g[:, None], axis, _TOL
-    )
-    return [
-        BoundaryPoint(
-            k=k,
-            gridline=float(gl),
-            star=None if np.isnan(root) else float(root),
-            residual=float(res),
-        )
-        for gl, root, res in zip(g, roots, residuals)
-    ]
+    rows = []
+    # one bisection per k: a batch of every k's gridlines is faster, but
+    # its per-step arrays grow the peak memory of a scan by over 10%
+    for k in np.atleast_1d(k).tolist():
+        roots, residuals = _slice_thresholds(fm, k, g[:, None], axis, _TOL)
+        rows += [BoundaryPoint(k, float(gl), None if np.isnan(r) else float(r), float(res))
+                 for gl, r, res in zip(g, roots, residuals)]
+    return rows
 
 
 def _fmt(x: float | None) -> str:

@@ -217,8 +217,9 @@ class TestEval:
         assert "mixture weight" in err
 
     def test_k_out_of_range_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--rho", "ghz:4:p=0.5", "--k", "9")
-        assert code == 2
+        code, out, err = run_cli(capsys, "eval", "--rho", "ghz:4:p=0.5", "--k", "9")
+        assert code == 2 and out == ""
+        assert "k must satisfy 1 <= k <= 3, got 9" in err
 
     @pytest.mark.parametrize("argv,message", [
         (["--preset", "ghz-probe", "--theorem", "2"], "preset ghz-probe drives theorem 1"),
@@ -391,6 +392,23 @@ class TestConfigFile:
         # the --config=PATH form, and a command-line switch the config leaves off
         code, out, _ = run_cli(capsys, f"--config={cfg}", "eval", "--rho", "w:3:2:p=1", "--csv")
         assert code == 0 and out.startswith("theorem,k,")
+
+    def test_config_supplies_rho(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": "ghz:4:p=0.9", "k": 2}))
+        flags = ["eval", "--rho", "ghz:4:p=0.9", "--k", "2", "--csv"]
+        assert run_cli(capsys, "--config", str(cfg), "eval", "--csv") == run_cli(capsys, *flags)
+
+    @pytest.mark.parametrize("config", [None, {"k": 1}])
+    def test_missing_rho_exit_2(self, capsys, tmp_path, config):
+        argv = ["eval", "--k", "1"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg), *argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "eval needs --rho" in err
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

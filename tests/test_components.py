@@ -10,6 +10,7 @@ give, row by row, the bits of a one-point call.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +298,24 @@ def _random_family(rng: np.random.Generator) -> NoiseFamily:
     return NoiseFamily(dims, (random_ket(dims, rng), random_ket(dims, rng)), ("p", "q"))
 
 
+class _SignedZeroT2(Theorem2Evaluator):
+    """T2 whose component bundles carry -0.0 in half of their zero entries,
+    the even-indexed ones in one component and the odd-indexed ones in the
+    next, so that columns equal up to the sign of a zero stand side by side."""
+
+    def traces(self, rho):
+        tr = super().traces(rho)
+        self.built = getattr(self, "built", 0) + 1
+        fields = {}
+        for name in FIELDS["T2"]:
+            value = np.array(getattr(tr, name))
+            every_other = np.arange(value.size).reshape(value.shape) % 2 == self.built % 2
+            for part in (value.real, value.imag) if np.iscomplexobj(value) else (value,):
+                part[(part == 0) & every_other] = -0.0
+            fields[name] = value
+        return replace(tr, **fields)
+
+
 def family_margins():
     rng = np.random.default_rng(7)
     ghz = ghz_noise_family(6)
@@ -311,7 +330,12 @@ def family_margins():
         ("w-T2_k1", FamilyMargin(w, Theorem2K1Evaluator(x, om)), [1]),
         ("rand-T1", FamilyMargin(rand, evaluators("T1", rand.dims, rng)), range(1, 4)),
         ("rand-T2", FamilyMargin(rand, evaluators("T2", rand.dims, rng)), range(1, 4)),
+        ("w-T2-signed-zeros", FamilyMargin(w, _SignedZeroT2(x, om)), range(1, 4)),
     ]
+
+
+def _component_bundles(fm: FamilyMargin) -> list:
+    return [fm.evaluator.traces(c) for c in (*fm.family.signals, WhiteNoise(fm.family.dims))]
 
 
 def _loop_combine(bundles, row):
@@ -336,13 +360,25 @@ class TestBatchedMargins:
         rng = np.random.default_rng(11)
         n_params = len(fm.family.signals)
         params = rng.dirichlet(np.ones(n_params + 1), size=64)[:, :n_params]
-        for k in ks:
-            batch = fm.margins(params, k)
-            for row, m, det in zip(params, batch.margin, batch.detected):
+        bundles = _component_bundles(fm)
+        # one k for every row, then a k drawn per row
+        for row_ks in [np.full(64, k) for k in ks] + [rng.choice(list(ks), size=64)]:
+            batch = fm.margins(params, row_ks if len(set(row_ks)) > 1 else int(row_ks[0]))
+            for row, k, m, det in zip(params, row_ks.tolist(), batch.margin, batch.detected):
                 report = fm.report(row, k)
-                looped = fm.evaluator.report(_loop_combine(fm._bundles, row), k)
+                looped = fm.evaluator.report(_loop_combine(bundles, row), k)
                 assert m == fm.margin(row, k) == report.margin == looped.margin
                 assert det == report.detected == looped.detected
+
+    def test_signed_zero_columns_are_merged(self):
+        # the family of the signed-zero case above repeats columns, and
+        # columns equal up to the sign of a zero count as one
+        (fm,) = [fm for label, fm, _ in family_margins() if label == "w-T2-signed-zeros"]
+        stacked = np.stack([b.cross.reshape(-1) for b in _component_bundles(fm)])
+        by_bits = {stacked[:, j].tobytes() for j in range(stacked.shape[1])}
+        by_value = {tuple(stacked[:, j]) for j in range(stacked.shape[1])}
+        assert np.any(np.signbit(stacked.real) & (stacked.real == 0))
+        assert len(fm._columns[0].cross) == len(by_value) < len(by_bits) < stacked.shape[1]
 
 
 def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
@@ -388,8 +424,8 @@ class TestBatchedBisection:
         # row 0 is never certified, row 1 is certified on the whole slice
         from kunent.criteria import Margins
 
-        def f(t):
-            margin = np.where(np.arange(t.size) == 0, -1.0, 1.0 + t)
+        def f(t, rows):
+            margin = np.where(rows == 0, -1.0, 1.0 + t)
             return Margins(margin, margin, margin, margin > 0.0)
 
         root, residual = _bisect_margin(f, np.zeros(2), np.ones(2), 1e-8)

@@ -392,6 +392,15 @@ class TestTheorem2K1:
         with pytest.raises(ValueError, match="defined for k=1, got k=2"):
             ev.report(ev.traces(w_state(3, 2)), 2)
 
+    def test_defined_only_at_k_1_per_row(self):
+        fam = w_noise_family(3, 2)
+        fm = FamilyMargin(fam, Theorem2K1Evaluator(*w_probe(fam.dims)))
+        rows = [[0.2, 0.1], [0.3, 0.3], [0.5, 0.0]]
+        ones = fm.margins(rows, np.array([1, 1, 1]))
+        assert np.array_equal(ones.margin, fm.margins(rows, 1).margin)
+        with pytest.raises(ValueError, match="defined for k=1, got k=2"):
+            fm.margins(rows, np.array([1, 2, 3]))
+
     def test_margin_is_largest_tuple_margin(self, rng):
         dims = qubits(3)
         rho = random_mixed_state(dims, rng)
@@ -400,6 +409,19 @@ class TestTheorem2K1:
         rep = Theorem2K1Evaluator(x, om).evaluate(rho, 1)
         per_tuple = [v for label, v in rep.terms if label.startswith("margin[")]
         assert rep.margin == pytest.approx(max(per_tuple))
+
+
+class TestKRange:
+    """Every criterion checks k with one rule, per row for a batch."""
+
+    @pytest.mark.parametrize("k,bad", [
+        (0, 0), (4, 4), (np.array([1, 3, 5, 0]), 5), (np.array([2, -1]), -1),
+    ])
+    def test_first_bad_k_named(self, k, bad):
+        fam = ghz_noise_family(4)
+        fm = FamilyMargin(fam, Theorem1Evaluator(*ghz_probe(fam.dims)))
+        with pytest.raises(ValueError, match=rf"k must satisfy 1 <= k <= 3, got {bad}$"):
+            fm.margins(np.full(np.shape(k) + (1,), 0.5), k)
 
 
 class TestCriterionReport:

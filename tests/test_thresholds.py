@@ -23,6 +23,7 @@ from kunent import (
     w_noise_family,
     w_probe,
 )
+from kunent.cli import main
 from kunent.criteria import w_tilde_probe
 from kunent.thresholds import (
     BoundaryPoint,
@@ -63,7 +64,7 @@ class TestExample2ClosedForm:
 
     def test_decreasing_in_k(self):
         for n, d in [(4, 3), (5, 4), (6, 3)]:
-            values = [example2_closed_form(n, k, d) for k in range(1, n + 1)]
+            values = [example2_closed_form(n, k, d) for k in range(1, n)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_vanishes_for_large_n(self):
@@ -82,6 +83,15 @@ class TestExample2ClosedForm:
             example2_closed_form(4, 5, 3)
         with pytest.raises(ValueError):
             example2_closed_form(4, 1, 1)
+
+    def test_k_range_is_the_criterions(self):
+        # k = N is outside the range the site-probe criterion is defined on
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"1 <= k <= 3, got {k}"):
+                example2_closed_form(4, k, 3)
+        fam = w_noise_family(4, 3)
+        with pytest.raises(ValueError, match="1 <= k <= 3, got 4"):
+            Theorem2Evaluator(*w_probe(fam.dims)).evaluate(fam.evaluate(0.5, 0.0), 4)
 
 
 class TestBisection:
@@ -190,6 +200,14 @@ class TestThresholdTable:
         for k, p_k, _ in rows:
             assert abs(p_k - ghz_noise_closed_form(4, k)) <= 1e-6
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rows_match_bisection_threshold_bit_for_bit(self, n):
+        # the table bisects every k in one batch
+        fam = ghz_noise_family(n)
+        ev = Theorem1Evaluator(*ghz_probe(fam.dims))
+        for k, p_k, _ in ghz_threshold_table(n):
+            assert p_k == bisection_threshold(fam, ev, k).p_star
+
     def test_csv_format(self):
         text = threshold_table_csv(ghz_threshold_table(8))
         lines = text.strip().split("\n")
@@ -248,6 +266,15 @@ class TestBoundaryScan:
             assert res.p_star == row.star
             assert np.array_equal(res.residual, row.residual, equal_nan=True)
 
+    @pytest.mark.parametrize("probe", ["w", "wtilde"])
+    def test_many_k_match_single_k_scans(self, probe):
+        rows = pq_boundary_scan(5, 3, [1, 2, 3, 4], 10, probe=probe)
+        singles = [row for k in (1, 2, 3, 4) for row in pq_boundary_scan(5, 3, k, 10, probe=probe)]
+        assert len(rows) == 44
+        for got, want in zip(rows, singles):
+            assert (got.k, got.gridline, got.star) == (want.k, want.gridline, want.star)
+            assert np.array_equal(got.residual, want.residual, equal_nan=True)
+
     def test_gridline_one_has_no_crossing(self):
         rows = pq_boundary_scan(4, 3, 1, grid=2)
         assert rows[-1].gridline == 1.0
@@ -266,3 +293,32 @@ class TestBoundaryScan:
         rows = [BoundaryPoint(k=1, gridline=1.0, star=None, residual=float("nan"))]
         text = boundary_scan_csv(rows)
         assert text.strip().split("\n")[1] == "1,1,none,none"
+
+
+class TestScanWork:
+    """Each threshold command bisects in as few batches as the scan allows."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(FamilyMargin, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FamilyMargin, name, counted)
+        return calls
+
+    def test_table1_bisects_every_k_at_once(self, monkeypatch, capsys):
+        margins = self.count(monkeypatch, "margins")
+        assert main(["table1", "--n", "10"]) == 0
+        # two ends, 27 halvings of [0, 1] down to 1e-8, one root evaluation
+        assert len(margins) <= 32
+
+    def test_fig1_builds_one_family_margin(self, monkeypatch, capsys):
+        builds = self.count(monkeypatch, "__init__")
+        margins = self.count(monkeypatch, "margins")
+        assert main(["fig1", "--n", "5", "--d", "4", "--grid", "200"]) == 0
+        assert len(builds) == 1
+        assert len(margins) <= 120
