@@ -44,8 +44,8 @@ from .criteria import (
 )
 from .oracle import oracle_check
 from .serialize import load_density_matrix, load_factor, load_product_operator
-from .states import Mixture, ghz, w_state, w_tilde
-from .tensor import DensityMatrix, SiteDims, qubits, qudits
+from .states import Mixture, ghz_noise_family, w_noise_family
+from .tensor import DensityMatrix, SiteDims, qubits
 from .thresholds import (
     boundary_scan_csv,
     ghz_threshold_table,
@@ -75,9 +75,17 @@ def _parse_params(text: str, allowed: Sequence[str]) -> dict[str, float]:
     return params
 
 
+#: Preset head -> (family constructor, number of integer fields, default weights).
+_PRESETS = {
+    "ghz": (ghz_noise_family, 1, (1.0,)),
+    "w": (w_noise_family, 2, (1.0, 0.0)),
+    "wtilde": (w_noise_family, 2, (0.0, 1.0)),
+}
+
+
 def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
-    """The state of a preset spec, held by its components (`Mixture`), or
-    the density matrix in a JSON file."""
+    """The state of a preset spec, a noise-family point held by its
+    components (`Mixture`), or the density matrix in a JSON file."""
     # False for a name too long for the file system, where Path.is_file raises
     if isfile(spec):
         try:
@@ -87,25 +95,14 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
 
     head, _, rest = spec.partition(":")
     try:
-        if head == "ghz":
-            n_str, _, params_str = rest.partition(":")
-            n = int(n_str)
-            params = _parse_params(params_str, ("p",))
-            p = params.get("p", 1.0)
-            return spec, Mixture(qubits(n), ((p, ghz(n)),))
-        if head in ("w", "wtilde"):
-            parts = rest.split(":", 2)
-            if len(parts) < 2:
+        if head in _PRESETS:
+            make_family, n_ints, defaults = _PRESETS[head]
+            parts = rest.split(":", n_ints) + [""]
+            if len(parts) <= n_ints:
                 raise InputError(f"spec {spec!r} needs n and d, e.g. w:5:4:p=0.5,q=0")
-            n, d = int(parts[0]), int(parts[1])
-            params = _parse_params(parts[2] if len(parts) > 2 else "", ("p", "q"))
-            if head == "w":
-                p = params.get("p", 1.0)
-                q = params.get("q", 0.0)
-            else:
-                p = params.get("p", 0.0)
-                q = params.get("q", 1.0)
-            return spec, Mixture(qudits(n, d), ((p, w_state(n, d)), (q, w_tilde(n, d))))
+            family = make_family(*map(int, parts[:n_ints]))
+            params = _parse_params(parts[n_ints], family.param_names)
+            return spec, family.evaluate(*map(params.get, family.param_names, defaults))
         if head == "mixed":
             if not rest.startswith("I/"):
                 raise InputError(f"mixed spec must look like mixed:I/256, got {spec!r}")
@@ -270,8 +267,6 @@ def cmd_table1(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    if args.n < 2:
-        raise InputError(f"--n must be >= 2, got {args.n}")
     rows = pq_boundary_scan(args.n, args.d, range(1, args.n), args.grid, probe=args.probe)
     gridline = "q" if args.probe == "w" else "p"
     star = "p_star" if args.probe == "w" else "q_star"

@@ -244,16 +244,20 @@ def certified(margin, scale, terms: int, dim: int):
     return margin > DETECTION_TOL + gamma * scale
 
 
-def _tuple_orders(n: int, big_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the T^2 n(n-1) off-diagonal (i != j) entries of a
-    (T, T, n, n) block, in two orders: (s, t, i, j), the order a report
-    lists them, and with the (i, j) pair outermost, the order it sums
-    them.  The second is the memory order of a boolean-indexed block,
-    which a whole-block np.sum follows; reports have always summed so,
-    and printed values keep their bits."""
+@lru_cache(maxsize=64)
+def _tuple_layout(n: int, big_t: int) -> tuple[np.ndarray, ...]:
+    """Read-only (rows, cols, listed, summed) of the T2 tuples: the pairs
+    i < j in np.triu_indices order, the order pair blocks are stacked, then
+    the flat indices of the T^2 n(n-1) i != j entries of a (T, T, n, n)
+    block in (s, t, i, j) order, as a report lists them, and with (i, j)
+    outermost, as it sums them: a boolean-indexed block's memory order,
+    which a whole-block np.sum has always followed, so values keep their bits."""
     flat = np.arange(big_t * big_t * n * n).reshape(big_t, big_t, n, n)
     flat = flat[..., ~np.eye(n, dtype=bool)]
-    return flat.reshape(-1), np.moveaxis(flat, -1, 0).reshape(-1)
+    layout = (*np.triu_indices(n, 1), flat.reshape(-1), np.moveaxis(flat, -1, 0).reshape(-1))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 @lru_cache(maxsize=64)
@@ -385,7 +389,6 @@ class Theorem2Evaluator(_Criterion):
         self.dims = x.dims
         self.d = d
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
-        self._listed, self._summed = _tuple_orders(x.dims.n, len(self.omegas))
 
     # bound here too: the benchmark tracer wraps `traces` in each class's own __dict__
     traces = _Criterion.traces
@@ -406,7 +409,7 @@ class Theorem2Evaluator(_Criterion):
 
         # pair blocks R[p, a_i, a_j, b_i, b_j] of the pairs i < j in
         # np.triu_indices order; Tr[R (g_i x g_j)] = sum R g_i[b_i, a_i] g_j[b_j, a_j]
-        rows, cols = np.triu_indices(n, 1)
+        rows, cols, _, _ = _tuple_layout(n, big_t)
         reduced = np.stack([pair_reduced(rho, i, j, baseline) for i, j in zip(rows, cols)])
         reduced = reduced.reshape(-1, d, d, d, d)
         cross = np.zeros((big_t, big_t, n, n), dtype=complex)
@@ -435,10 +438,10 @@ class Theorem2Evaluator(_Criterion):
         _check_k(n, k)
         # one row per bundle, gathered contiguous: np.sum adds each row
         # pairwise, as it adds a lone bundle
-        flat = (*np.shape(traces.base), -1)
+        flat, summed = (*np.shape(traces.base), -1), _tuple_layout(n, big_t)[3]
         base = np.maximum(traces.base, 0.0)
-        cross_terms = np.abs(traces.cross).reshape(flat).take(self._summed, axis=-1)
-        pair = np.maximum(traces.pair, 0.0).reshape(flat).take(self._summed, axis=-1)
+        cross_terms = np.abs(traces.cross).reshape(flat).take(summed, axis=-1)
+        pair = np.maximum(traces.pair, 0.0).reshape(flat).take(summed, axis=-1)
         lhs = np.sum(cross_terms, axis=-1)
         rhs_pairs = np.sum(np.sqrt(base[..., None] * pair), axis=-1)
         site_sum = np.sum(np.maximum(traces.site, 0.0).reshape(flat), axis=-1)
@@ -452,8 +455,9 @@ class Theorem2Evaluator(_Criterion):
     def report(self, traces: Theorem2Traces, k: int) -> CriterionReport:
         m, rhs_pairs, rhs_sites = self._evaluate(traces, k)
         base = max(float(traces.base), 0.0)
-        cross_terms = np.abs(traces.cross).reshape(-1).take(self._listed)
-        pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(self._listed))
+        listed = _tuple_layout(traces.n, traces.n_omega)[2]
+        cross_terms = np.abs(traces.cross).reshape(-1).take(listed)
+        pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(listed))
         values = np.concatenate((
             np.stack((cross_terms, pair_terms), axis=-1).reshape(-1),
             np.maximum(traces.site, 0.0).reshape(-1),
@@ -478,7 +482,7 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
         k = np.ravel(k)
         if np.any(k != 1):
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k[k != 1][0]}")
-        flat, listed = (*np.shape(traces.base), -1), self._listed
+        flat, listed = (*np.shape(traces.base), -1), _tuple_layout(traces.n, traces.n_omega)[2]
         base = np.maximum(traces.base, 0.0)
         lhs = (np.abs(traces.cross) ** 2).reshape(flat).take(listed, axis=-1)
         rhs = base[..., None] * np.maximum(traces.pair, 0.0).reshape(flat).take(listed, axis=-1)

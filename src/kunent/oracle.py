@@ -152,9 +152,7 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
-            alpha = PermutationAction(
-                frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            )
+            alpha = PermutationAction.of(*(i + 1 for i in range(n) if mask >> i & 1))
             a_op, b_op = swap_on_subset(x, y, alpha)
             # site-probe forms: one random (i, j, s, t) tuple per instance
             omegas = [
@@ -170,9 +168,9 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
                 (doubled_term(rho, x, y, alpha),
                  sandwich_trace(rho, a_op) * sandwich_trace(rho, b_op)),
                 (doubled_lhs(rho, x, y), abs(cross_trace(rho, x, y)) ** 2),
-                (doubled_term(rho, x_i, x_j, PermutationAction(frozenset({i + 1}))),
+                (doubled_term(rho, x_i, x_j, PermutationAction.of(i + 1)),
                  sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)),
-                (doubled_term(rho, x_i, x_i, PermutationAction(frozenset())),
+                (doubled_term(rho, x_i, x_i, PermutationAction.of()),
                  sandwich_trace(rho, x_i) ** 2),
                 (doubled_lhs(rho, x_i, x_j), abs(tr.cross[0, 0, i, j]) ** 2),
             ):
@@ -251,9 +249,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
         report.step("t1-pure-bound").record(-rep.margin, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
 
         for mask in (1, full - 1, full >> 1):
-            alpha = PermutationAction(
-                frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            )
+            alpha = PermutationAction.of(*(i + 1 for i in range(n) if mask >> i & 1))
             a_op, b_op = swap_on_subset(x, y, alpha)
             a_vals = [sandwich_trace(r, a_op) for r in components]
             b_vals = [sandwich_trace(r, b_op) for r in components]

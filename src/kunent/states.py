@@ -170,17 +170,16 @@ class NoiseFamily:
     def __post_init__(self) -> None:
         if len(self.signals) != len(self.param_names):
             raise ValueError("one parameter name per signal state required")
-        for psi in self.signals:
-            if psi.dims.dims != self.dims.dims:
-                raise ValueError("signal dims do not match family dims")
+        Mixture(self.dims, tuple((0.0, psi) for psi in self.signals))  # checks signal dims
 
-    def evaluate(self, *weights: float) -> DensityMatrix:
+    def evaluate(self, *weights: float) -> Mixture:
+        """The point with one weight per signal, held by its components."""
         if len(weights) != len(self.signals):
             raise ValueError(
                 f"family {self.description!r} takes {len(self.signals)} "
                 f"parameters ({', '.join(self.param_names)}), got {len(weights)}"
             )
-        return mix(list(zip(weights, self.signals)), self.dims)
+        return Mixture(self.dims, tuple(zip(weights, self.signals)))
 
 
 def ghz_noise_family(n: int) -> NoiseFamily:
@@ -202,10 +201,12 @@ def _random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_k(n: int, k) -> None:
-    """k unentangled particles among n sites: 1 <= k <= n - 1, for an int k
-    or for each k of an int array (the first bad one is named)."""
-    if isinstance(k, np.ndarray):
+    """k unentangled particles among n sites: an integer 1 <= k <= n - 1,
+    or an integer array of them (the first bad one is named)."""
+    if isinstance(k, np.ndarray) and k.dtype.kind in "iu":
         k = next(iter(k[(k < 1) | (k > n - 1)]), 1)
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
 

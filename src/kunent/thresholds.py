@@ -147,7 +147,7 @@ class FamilyMargin:
         return float(self.margins(params, k).margin)
 
 
-def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root of each row of a batch of margin functions on [lo, hi].
 
     ``f(t, rows)`` maps one scanned weight for each row indexed by `rows`
@@ -156,11 +156,11 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.nd
 
     - not certified at hi: root NaN (no detection), residual f(hi);
     - certified at lo: root lo, residual f(lo);
-    - otherwise the bracket is halved until it is at most `tol` wide (or
+    - otherwise the bracket is halved until it is at most `_TOL` wide (or
       `_MAX_ITER` times); root is its midpoint, residual f(root).
 
     A step evaluates `f` on the live rows only, whose bracket is still
-    wider than `tol`, and moves their ends in place; a row's margin has the
+    wider than `_TOL`, and moves their ends in place; a row's margin has the
     bits of a one-row call, so skipping converged rows moves no root.
 
     The endpoints use the certificate rule (`Margins.detected`): they
@@ -184,7 +184,7 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.nd
     root = np.where(at_hi.detected, a, np.nan)
     residual = np.where(at_hi.detected, at_lo.margin, at_hi.margin)
     for _ in range(_MAX_ITER):
-        live = np.flatnonzero(bisect & (b - a > tol))
+        live = np.flatnonzero(bisect & (b - a > _TOL))
         if not live.size:
             break
         mid = 0.5 * (a[live] + b[live])
@@ -198,8 +198,8 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.nd
     return root, residual
 
 
-def _slice_thresholds(fm: FamilyMargin, k, fixed: np.ndarray, axis: int,
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _slice_thresholds(fm: FamilyMargin, k, fixed: np.ndarray,
+                      axis: int) -> tuple[np.ndarray, np.ndarray]:
     """(root, residual) of the margin along one family parameter, for each
     row of a (B, n_signals - 1) batch of fixed weights, at one k or at
     one k per row (an int array).
@@ -218,7 +218,7 @@ def _slice_thresholds(fm: FamilyMargin, k, fixed: np.ndarray, axis: int,
         at[:, axis] = t
         return fm.margins(at, k[rows])
 
-    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi), tol)
+    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi))
     return np.where(empty, np.nan, root), np.where(empty, np.nan, residual)
 
 
@@ -226,7 +226,6 @@ def bisection_threshold(
     family: NoiseFamily,
     evaluator,
     k: int,
-    tol: float = _TOL,
     *,
     fixed: Sequence[float] = (),
     axis: int = 0,
@@ -251,7 +250,7 @@ def bisection_threshold(
         raise ValueError(f"axis must be in 0..{n_params - 1}, got {axis}")
     component_weights(fixed)  # finite, nonnegative, summing to at most 1
     rows = np.asarray(fixed, dtype=float).reshape(1, -1)
-    (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis, tol)
+    (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis)
     p_star = None if np.isnan(root) else float(root)
     return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
 
@@ -293,7 +292,7 @@ def ghz_threshold_table(n: int = 8) -> list[tuple[int, float, float | None]]:
     """
     family = ghz_noise_family(n)
     fm = FamilyMargin(family, Theorem1Evaluator(*ghz_probe(family.dims)))
-    roots, _ = _slice_thresholds(fm, np.arange(1, n), np.empty((n - 1, 0)), 0, _TOL)
+    roots, _ = _slice_thresholds(fm, np.arange(1, n), np.empty((n - 1, 0)), 0)
     reference = COMPARISON_THRESHOLDS_8QUBIT if n == 8 else (None,) * (n - 1)
     return [(k, float(root), ref) for k, (root, ref) in enumerate(zip(roots, reference), 1)]
 
@@ -327,7 +326,7 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
     # one bisection per k: a batch of every k's gridlines is faster, but
     # its per-step arrays grow the peak memory of a scan by over 10%
     for k in np.atleast_1d(k).tolist():
-        roots, residuals = _slice_thresholds(fm, k, g[:, None], axis, _TOL)
+        roots, residuals = _slice_thresholds(fm, k, g[:, None], axis)
         rows += [BoundaryPoint(k, float(gl), None if np.isnan(r) else float(r), float(res))
                  for gl, r, res in zip(g, roots, residuals)]
     return rows

@@ -12,7 +12,16 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from kunent import ghz_noise_closed_form, example2_closed_form
+from kunent import (
+    Theorem1Evaluator,
+    Theorem2Evaluator,
+    example2_closed_form,
+    ghz_noise_closed_form,
+    ghz_noise_family,
+    ghz_probe,
+    w_noise_family,
+    w_probe,
+)
 from kunent.cli import main, parse_state_spec
 from kunent.config import dim_cap
 from kunent.serialize import matrix_to_dict, save_density_matrix
@@ -55,6 +64,38 @@ class TestStateSpecs:
         save_density_matrix(rho, path)
         _, loaded = parse_state_spec(str(path))
         assert loaded.dims.dims == (2, 2)
+
+    # the preset specs of tests/golden/: family, its integer fields, weights
+    GOLDEN_PRESETS = {
+        "ghz:6:p=0.6": (ghz_noise_family, (6,), (0.6,)),
+        "ghz:10:p=0.55": (ghz_noise_family, (10,), (0.55,)),
+        "ghz:8:p=0.5": (ghz_noise_family, (8,), (0.5,)),
+        "w:4:3:p=0.3,q=0.2": (w_noise_family, (4, 3), (0.3, 0.2)),
+        "w:5:4:p=0.25,q=0.1": (w_noise_family, (5, 4), (0.25, 0.1)),
+        "wtilde:4:3": (w_noise_family, (4, 3), (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("spec", GOLDEN_PRESETS)
+    def test_golden_preset_is_its_family_point(self, spec):
+        # the bundles of the parsed state and of the library's family point
+        # are equal bit for bit, under both criteria
+        family, ints, weights = self.GOLDEN_PRESETS[spec]
+        _, rho = parse_state_spec(spec)
+        point = family(*ints).evaluate(*weights)
+        assert rho.weights.tobytes() == point.weights.tobytes()
+        for ev in (Theorem1Evaluator(*ghz_probe(point.dims)),
+                   Theorem2Evaluator(*w_probe(point.dims))):
+            ours, theirs = ev.traces(rho), ev.traces(point)
+            for name in type(ours)._mixed:
+                assert np.asarray(getattr(ours, name)).tobytes() == \
+                    np.asarray(getattr(theirs, name)).tobytes(), (spec, ev.theorem, name)
+
+    def test_golden_presets_are_the_golden_specs(self):
+        from test_golden import CASES
+
+        specs = {argv[argv.index("--rho") + 1] for argv in CASES.values() if "--rho" in argv}
+        presets = {s for s in specs if s.partition(":")[0] in ("ghz", "w", "wtilde")}
+        assert presets == set(self.GOLDEN_PRESETS)
 
     def test_bad_spec_raises_input_error(self):
         from kunent.cli import InputError
@@ -318,9 +359,10 @@ class TestFig1:
 
     @pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "0"], ["--n", "-3", "--grid", "0"]])
     def test_too_few_sites_exit_2(self, capsys, argv):
+        # the family's own site-count rule, as `table1` and `eval` report it
         code, out, err = run_cli(capsys, "fig1", *argv)
         assert code == 2 and out == ""
-        assert "--n must be >= 2" in err
+        assert f"need at least 2 sites, got {argv[1]}" in err
 
 
 class TestOracleCheckCommand:

@@ -428,7 +428,7 @@ class TestBatchedBisection:
             margin = np.where(rows == 0, -1.0, 1.0 + t)
             return Margins(margin, margin, margin, margin > 0.0)
 
-        root, residual = _bisect_margin(f, np.zeros(2), np.ones(2), 1e-8)
+        root, residual = _bisect_margin(f, np.zeros(2), np.ones(2))
         assert np.isnan(root[0]) and residual[0] == -1.0
         assert root[1] == 0.0 and residual[1] == 1.0
 

@@ -131,7 +131,7 @@ class TestTheorem1Term:
         # picking up only the white-noise weight: (1-p)/2^n
         for n in (3, 8):
             fam = ghz_noise_family(n)
-            rho = fam.evaluate(p)
+            rho = fam.evaluate(p).dense()
             x, y = ghz_probe(fam.dims)
             term = theorem1_term(rho, x, y, PermutationAction.of(1))
             assert term == pytest.approx((1 - p) / 2**n, rel=1e-12)
@@ -422,6 +422,40 @@ class TestKRange:
         fm = FamilyMargin(fam, Theorem1Evaluator(*ghz_probe(fam.dims)))
         with pytest.raises(ValueError, match=rf"k must satisfy 1 <= k <= 3, got {bad}$"):
             fm.margins(np.full(np.shape(k) + (1,), 0.5), k)
+
+    @pytest.mark.parametrize("k", [
+        1.5, 2.0, np.float64(1.0), "1", np.array([1.5]), np.array([1.0, 2.0]),
+    ], ids=["1.5", "2.0", "np1.0", "str", "array1.5", "float-array"])
+    def test_non_integer_k_rejected(self, k):
+        # at k = 1.5 the GHZ point once read "detected" (margin 0.0712, and
+        # -0.219 at k = 1): a certificate for a k that has no meaning
+        ghz_fam, w_fam = ghz_noise_family(4), w_noise_family(4, 3)
+        for ev, point in (
+            (Theorem1Evaluator(*ghz_probe(ghz_fam.dims)), ghz_fam.evaluate(0.35)),
+            (Theorem2Evaluator(*w_probe(w_fam.dims)), w_fam.evaluate(0.5, 0.0)),
+        ):
+            with pytest.raises(ValueError, match="k must be an integer, got"):
+                ev.margins(ev.traces(point), k)
+            if np.ndim(k) == 0:
+                with pytest.raises(ValueError, match="k must be an integer, got"):
+                    ev.evaluate(point, k)
+
+    def test_numpy_integer_k_accepted(self):
+        fam = ghz_noise_family(4)
+        ev = Theorem1Evaluator(*ghz_probe(fam.dims))
+        traces = ev.traces(fam.evaluate(0.35))
+        for k in (np.int64(2), np.array([2], dtype=np.uint8)):
+            assert ev.margins(traces, k).margin == ev.margins(traces, 2).margin
+
+
+def test_t2_tuple_layout_is_one_read_only_owner_per_shape():
+    from kunent.criteria import _tuple_layout
+
+    rows, cols, listed, summed = layout = _tuple_layout(4, 2)
+    assert _tuple_layout(4, 2) is layout
+    assert not any(a.flags.writeable for a in layout)
+    assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in np.triu_indices(4, 1)]
+    assert sorted(listed.tolist()) == sorted(summed.tolist()) and len(listed) == 2 * 2 * 4 * 3
 
 
 class TestCriterionReport:

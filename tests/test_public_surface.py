@@ -4,6 +4,7 @@ library quick start runs and prints what its comments say."""
 from __future__ import annotations
 
 import importlib
+import json
 import types
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 import kunent
 from kunent import config
+from kunent.cli import main
 
 MODULES = ["tensor", "states", "criteria", "oracle", "thresholds", "serialize"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,3 +56,16 @@ def test_readme_quick_start_runs_as_documented():
     assert namespace["report"].detected is True
     assert namespace["report"].margin == pytest.approx(0.203125, rel=1e-12)
     assert namespace["res"].p_star == pytest.approx(0.4980392, abs=5e-8)
+
+
+def test_cli_eval_reports_the_quick_start_point(capsys):
+    # `eval --rho ghz:8:p=0.6` and the quick start's criterion on its family
+    # point give the same report at every k, field for field
+    namespace: dict = {}
+    exec(compile(quick_start(), str(README), "exec"), namespace)
+    assert main(["eval", "--rho", "ghz:8:p=0.6"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["k"] for r in reports] == list(range(1, 8))
+    for r in reports:
+        ours = namespace["criterion"].evaluate(namespace["rho"], r["k"])
+        assert r == json.loads(json.dumps(ours.to_dict()))

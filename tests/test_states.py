@@ -27,6 +27,7 @@ from kunent import (
     w_tilde,
     WhiteNoise,
 )
+from kunent.criteria import ghz_probe
 from kunent.states import _product_amplitudes, _random_blocks, component_weights
 
 from conftest import random_product_operator
@@ -178,9 +179,25 @@ class TestMix:
 class TestNoiseFamilies:
     def test_ghz_family(self):
         fam = ghz_noise_family(4)
-        rho = fam.evaluate(0.25)
+        rho = fam.evaluate(0.25).dense()
         assert np.trace(rho.mat) == pytest.approx(1.0)
         assert rho.mat[0, -1] == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("fam,weights", [
+        (ghz_noise_family(4), (0.25,)), (w_noise_family(3, 3), (0.5, 0.25)),
+    ])
+    def test_point_is_a_mixture_without_a_dense_matrix(self, monkeypatch, fam, weights):
+        with monkeypatch.context() as m:
+            def tripwire(self):
+                raise AssertionError("a D x D DensityMatrix was built")
+
+            m.setattr(DensityMatrix, "__post_init__", tripwire)
+            point = fam.evaluate(*weights)
+            Theorem1Evaluator(*ghz_probe(fam.dims)).evaluate(point, 1)
+        assert isinstance(point, Mixture)
+        assert point.weights.tolist() == [*weights, 1.0 - sum(weights)]
+        assert all(c is psi for c, psi in zip(point.components, fam.signals))
+        assert np.array_equal(point.dense().mat, mix(list(zip(weights, fam.signals)), fam.dims).mat)
 
     def test_w_family_param_count(self):
         fam = w_noise_family(3, 3)

@@ -255,7 +255,7 @@ class TestCrossTrace:
         fam = ghz_noise_family(8)
         x, y = ghz_probe(fam.dims)
         for p in (0.0, 0.3, 1.0):
-            value = cross_trace(fam.evaluate(p), x, y)
+            value = cross_trace(fam.evaluate(p).dense(), x, y)
             assert value == pytest.approx(p / 2)
 
     def test_ghz_noise_dense_crosscheck_small(self, rng):
@@ -263,7 +263,7 @@ class TestCrossTrace:
         from kunent.criteria import ghz_probe
 
         fam = ghz_noise_family(3)
-        rho = fam.evaluate(0.4)
+        rho = fam.evaluate(0.4).dense()
         x, y = ghz_probe(fam.dims)
         dense_val = np.trace(assemble(x).conj().T @ rho.mat @ assemble(y))
         assert cross_trace(rho, x, y) == pytest.approx(dense_val)

@@ -124,7 +124,7 @@ class TestBisection:
     def test_residual_small_at_root(self):
         fam = ghz_noise_family(6)
         ev = Theorem1Evaluator(*ghz_probe(fam.dims))
-        res = bisection_threshold(fam, ev, 2, tol=1e-10)
+        res = bisection_threshold(fam, ev, 2)
         assert abs(res.residual) < 1e-8
 
     def test_w_family_fixed_axis(self):
