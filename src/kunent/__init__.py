@@ -11,7 +11,6 @@ validates the factorization at small dimension.
 from .config import dim_cap
 from .criteria import (
     CriterionReport,
-    PermutationAction,
     Theorem1Evaluator,
     Theorem2Evaluator,
     Theorem2K1Evaluator,

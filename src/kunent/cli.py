@@ -68,6 +68,8 @@ def _parse_params(text: str, allowed: Sequence[str]) -> dict[str, float]:
         name, _, raw = item.partition("=")
         if name not in allowed:
             raise InputError(f"unknown parameter {name!r} (allowed: {', '.join(allowed)})")
+        if name in params:
+            raise InputError(f"parameter {name!r} given twice")
         try:
             params[name] = float(raw)
         except ValueError as exc:
@@ -113,8 +115,6 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
                     f"mixed:I/D currently supports qubit spaces (D a power of 2), got D={total}"
                 )
             return spec, Mixture(qubits(n), ())
-    except InputError:
-        raise
     except (ValueError, TypeError) as exc:
         raise InputError(f"cannot parse state spec {spec!r}: {exc}") from exc
     raise InputError(
@@ -122,36 +122,42 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
     )
 
 
+#: `eval` probe preset -> (the theorem it drives, its probe constructor);
+#: a theorem's first preset is its default.
+_PROBE_PRESETS = {"ghz-probe": (1, ghz_probe), "w-probe": (2, w_probe),
+                  "wtilde-probe": (2, w_tilde_probe)}
+#: Theorem -> the probe files it reads, in the order its criterion takes them.
+_PROBE_FILES = {1: ("x", "y"), 2: ("x", "omega")}
+#: (theorem, --per-tuple) -> criterion.
+_CRITERIA = {(1, False): Theorem1Evaluator, (2, False): Theorem2Evaluator,
+             (2, True): Theorem2K1Evaluator}
+
+
 def _build_evaluator(args, dims: SiteDims):
-    """Resolve probe flags/preset into a criterion evaluator."""
-    theorem = args.theorem
-    if args.per_tuple and theorem != 2:
+    """The criterion of `args.theorem` on the probes of the files given, or
+    else of the preset (by default the theorem's first)."""
+    theorem, reads = args.theorem, _PROBE_FILES[args.theorem]
+    criterion = _CRITERIA.get((theorem, args.per_tuple))
+    if criterion is None:
         raise InputError("--per-tuple applies to theorem 2 only")
-    if args.preset is not None and (args.x or args.y or args.omega):
+    files = {f: getattr(args, f) for f in ("x", "y", "omega") if getattr(args, f) is not None}
+    if args.preset is not None and files:
         raise InputError("--preset cannot be combined with --x/--y/--omega")
-    if args.preset == "ghz-probe":
-        if theorem != 1:
-            raise InputError("preset ghz-probe drives theorem 1")
-        return Theorem1Evaluator(*ghz_probe(dims))
-    if args.preset is not None:
-        if theorem != 2:
-            raise InputError(f"preset {args.preset} drives theorem 2")
-        x, om = (w_probe if args.preset == "w-probe" else w_tilde_probe)(dims)
-    elif theorem == 1:
-        if not (args.x and args.y):
-            # default probe choice: GHZ preset works on any dimensions
-            if args.x or args.y:
-                raise InputError("theorem 1 needs both --x and --y (or a preset)")
-            return Theorem1Evaluator(*ghz_probe(dims))
-        return Theorem1Evaluator(load_product_operator(args.x), load_product_operator(args.y))
-    elif args.x is None and args.omega is None:
-        x, om = w_probe(dims)
-    else:
-        if not (args.x and args.omega):
-            raise InputError("theorem 2 needs both --x and --omega (or a preset)")
-        x = load_product_operator(args.x)
-        om = [load_factor(p) for p in args.omega.split(",")]
-    return (Theorem2K1Evaluator if args.per_tuple else Theorem2Evaluator)(x, om)
+    foreign = [f"--{f}" for f in files if f not in reads]
+    if foreign:
+        raise InputError(f"theorem {theorem} does not read {', '.join(foreign)}")
+    if files:
+        if len(files) < len(reads):
+            raise InputError(f"theorem {theorem} needs both --{reads[0]} and --{reads[1]} "
+                             "(or a preset)")
+        # --omega names factor files, comma-separated; --x and --y a product operator each
+        return criterion(*(list(map(load_factor, files[f].split(","))) if f == "omega"
+                           else load_product_operator(files[f]) for f in reads))
+    preset = args.preset or next(p for p, (t, _) in _PROBE_PRESETS.items() if t == theorem)
+    drives, make_probes = _PROBE_PRESETS[preset]
+    if drives != theorem:
+        raise InputError(f"preset {preset} drives theorem {drives}")
+    return criterion(*make_probes(dims))
 
 
 def _reports_csv(reports: Sequence[CriterionReport]) -> str:
@@ -247,13 +253,7 @@ def cmd_eval(args) -> int:
     except OSError as exc:
         raise InputError(str(exc)) from exc
 
-    if args.k is not None:
-        ks = [args.k]
-    elif isinstance(evaluator, Theorem2K1Evaluator):
-        ks = [1]
-    else:
-        ks = list(range(1, rho.dims.n))
-
+    ks = evaluator.ks() if args.k is None else [args.k]
     traces = evaluator.traces(rho)
     reports = [evaluator.report(traces, k) for k in ks]
     sys.stdout.write(_reports_csv(reports) if args.csv else _reports_json(label, reports))
@@ -300,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a criterion on a state", description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
     p_eval.add_argument("--rho", help="state spec or JSON file (required)")
-    p_eval.add_argument("--theorem", type=int, choices=(1, 2), default=1)
+    p_eval.add_argument("--theorem", type=int, choices=tuple(_PROBE_FILES), default=1)
     p_eval.add_argument("--k", type=int, default=None, help="default: all valid k")
     p_eval.add_argument(
         "--preset",
-        choices=("ghz-probe", "w-probe", "wtilde-probe"),
+        choices=tuple(_PROBE_PRESETS),
         default=None,
         help="probe preset (ghz-probe: x_i=|1><0|, y_i=|0><0|; w-probe / "
         "wtilde-probe: rank-one site probes for the W families)",

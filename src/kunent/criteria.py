@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "PermutationAction",
     "CriterionReport",
     "Margins",
     "certified",
@@ -79,23 +78,6 @@ __all__ = [
     "w_probe",
     "w_tilde_probe",
 ]
-
-
-@dataclass(frozen=True)
-class PermutationAction:
-    """Factor-exchange on a subset alpha of sites (1-based indices)."""
-
-    subset: frozenset[int]
-
-    def __post_init__(self) -> None:
-        subset = frozenset(int(i) for i in self.subset)
-        object.__setattr__(self, "subset", subset)
-        if any(i < 1 for i in subset):
-            raise ValueError(f"site indices are 1-based, got {sorted(subset)}")
-
-    @staticmethod
-    def of(*sites: int) -> "PermutationAction":
-        return PermutationAction(frozenset(sites))
 
 
 @dataclass(frozen=True)
@@ -131,9 +113,10 @@ class CriterionReport:
 
 
 def swap_on_subset(
-    x: ProductOperator, y: ProductOperator, alpha: PermutationAction
+    x: ProductOperator, y: ProductOperator, alpha: Collection[int]
 ) -> tuple[ProductOperator, ProductOperator]:
-    """Exchange the factors of x and y on the sites in alpha.
+    """Exchange the factors of x and y on alpha, a collection of 1-based
+    sites (integers in 1..N; the empty set exchanges nothing).
 
     Returns (A, B) where A carries y's factors on alpha and x's elsewhere,
     and B the reverse.
@@ -141,18 +124,12 @@ def swap_on_subset(
     if x.dims.dims != y.dims.dims:
         raise ValueError("x and y must share site dimensions")
     n = x.dims.n
-    if any(i > n for i in alpha.subset):
-        raise ValueError(f"subset {sorted(alpha.subset)} out of range 1..{n}")
-    a_factors = tuple(
-        y.factors[i] if (i + 1) in alpha.subset else x.factors[i] for i in range(n)
-    )
-    b_factors = tuple(
-        x.factors[i] if (i + 1) in alpha.subset else y.factors[i] for i in range(n)
-    )
-    return (
-        ProductOperator(x.dims, a_factors),
-        ProductOperator(x.dims, b_factors),
-    )
+    alpha = set(alpha)
+    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= n for i in alpha):
+        raise ValueError(f"subset {alpha} out of range 1..{n}")
+    a_factors = tuple(y.factors[i] if i + 1 in alpha else x.factors[i] for i in range(n))
+    b_factors = tuple(x.factors[i] if i + 1 in alpha else y.factors[i] for i in range(n))
+    return ProductOperator(x.dims, a_factors), ProductOperator(x.dims, b_factors)
 
 
 # --------------------------------------------------------------------------
@@ -311,6 +288,10 @@ class _Criterion:
             bundles = [self._traces(c) for c in rho.components]
             return type(bundles[0]).combine(bundles, rho.weights)
         return self._traces(rho)
+
+    def ks(self) -> list[int]:
+        """Every k the criterion is defined for, which `eval` reports by default: 1..N-1."""
+        return list(range(1, self.dims.n))
 
     def margins(self, traces, k: int) -> Margins:
         return self._evaluate(traces, k)[0]
@@ -476,6 +457,9 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
     the largest tuple margin; see the module docstring caveat."""
 
     theorem = "T2_k1"
+
+    def ks(self) -> list[int]:
+        return [1]
 
     def _evaluate(self, traces: Theorem2Traces, k: int) -> tuple[Margins, np.ndarray]:
         """Margins plus every tuple margin |cross|^2 - base * pair."""

@@ -15,16 +15,12 @@ builds that matrix to show the discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
 from .config import ORACLE_DIM_CAP, ORACLE_TOL
-from .criteria import (
-    PermutationAction,
-    Theorem1Evaluator,
-    Theorem2Evaluator,
-    swap_on_subset,
-)
+from .criteria import Theorem1Evaluator, Theorem2Evaluator, swap_on_subset
 from .states import random_k_unentangled_terms, random_mixed_state, random_product_operator
 from .tensor import (
     DensityMatrix,
@@ -58,9 +54,10 @@ def doubled_term(
     rho: DensityMatrix,
     x: ProductOperator,
     y: ProductOperator,
-    alpha: PermutationAction,
+    alpha: Collection[int],
 ) -> complex:
-    """Tr[(X^dag x Y^dag) P_a^dag rho^(x2) P_a (X x Y)] assembled literally.
+    """Tr[(X^dag x Y^dag) P_a^dag rho^(x2) P_a (X x Y)] assembled literally,
+    for a collection alpha of 1-based sites.
 
     The permutation is applied to the operator pair first: the value is
     Tr[(A^dag x B^dag) rho^(x2) (A x B)] for (A, B) = swap_on_subset(x, y, alpha).
@@ -152,7 +149,7 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
-            alpha = PermutationAction.of(*(i + 1 for i in range(n) if mask >> i & 1))
+            alpha = {i + 1 for i in range(n) if mask >> i & 1}
             a_op, b_op = swap_on_subset(x, y, alpha)
             # site-probe forms: one random (i, j, s, t) tuple per instance
             omegas = [
@@ -168,9 +165,9 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
                 (doubled_term(rho, x, y, alpha),
                  sandwich_trace(rho, a_op) * sandwich_trace(rho, b_op)),
                 (doubled_lhs(rho, x, y), abs(cross_trace(rho, x, y)) ** 2),
-                (doubled_term(rho, x_i, x_j, PermutationAction.of(i + 1)),
+                (doubled_term(rho, x_i, x_j, {i + 1}),
                  sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)),
-                (doubled_term(rho, x_i, x_i, PermutationAction.of()),
+                (doubled_term(rho, x_i, x_i, set()),
                  sandwich_trace(rho, x_i) ** 2),
                 (doubled_lhs(rho, x_i, x_j), abs(tr.cross[0, 0, i, j]) ** 2),
             ):
@@ -249,7 +246,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
         report.step("t1-pure-bound").record(-rep.margin, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
 
         for mask in (1, full - 1, full >> 1):
-            alpha = PermutationAction.of(*(i + 1 for i in range(n) if mask >> i & 1))
+            alpha = {i + 1 for i in range(n) if mask >> i & 1}
             a_op, b_op = swap_on_subset(x, y, alpha)
             a_vals = [sandwich_trace(r, a_op) for r in components]
             b_vals = [sandwich_trace(r, b_op) for r in components]

@@ -77,7 +77,9 @@ class SiteDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        if not all(isinstance(d, (int, np.integer)) for d in self.dims):
+            raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")

@@ -297,6 +297,10 @@ def ghz_threshold_table(n: int = 8) -> list[tuple[int, float, float | None]]:
     return [(k, float(root), ref) for k, (root, ref) in enumerate(zip(roots, reference), 1)]
 
 
+#: Boundary-scan probe -> (site-probe preset, index of the bisected weight).
+_SCAN_PROBES = {"w": (w_probe, 0), "wtilde": (w_tilde_probe, 1)}
+
+
 def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
                      probe: str = "w") -> list[BoundaryPoint]:
     """Detection boundary of the site-probe criterion over the (p, q) simplex,
@@ -310,17 +314,12 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
     ``star=None``.
     """
     family = w_noise_family(n, d)
-    if probe == "w":
-        evaluator = Theorem2Evaluator(*w_probe(family.dims))
-        axis = 0
-    elif probe == "wtilde":
-        evaluator = Theorem2Evaluator(*w_tilde_probe(family.dims))
-        axis = 1
-    else:
+    if probe not in _SCAN_PROBES:
         raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    fm = FamilyMargin(family, evaluator)
+    make_probe, axis = _SCAN_PROBES[probe]
+    fm = FamilyMargin(family, Theorem2Evaluator(*make_probe(family.dims)))
     g = np.arange(grid + 1) / grid
     rows = []
     # one bisection per k: a batch of every k's gridlines is faster, but

@@ -25,7 +25,7 @@ from kunent import (
     w_noise_family,
     w_probe,
 )
-from kunent.criteria import PermutationAction, swap_on_subset, w_tilde_probe
+from kunent.criteria import swap_on_subset, w_tilde_probe
 from kunent.oracle import doubled_lhs, doubled_term
 from kunent.tensor import cross_trace, sandwich_trace
 from kunent.thresholds import FamilyMargin
@@ -98,9 +98,7 @@ def test_oracle_equivalence():
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
-            alpha = PermutationAction(
-                frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            )
+            alpha = {i + 1 for i in range(n) if mask >> i & 1}
             lit = doubled_term(rho, x, y, alpha)
             a, b = swap_on_subset(x, y, alpha)
             fac = sandwich_trace(rho, a) * sandwich_trace(rho, b)
@@ -116,7 +114,7 @@ def test_oracle_equivalence():
             x_i = x.replace_factor(i + 1, w)
             x_j = x.replace_factor(j + 1, w)
             x_ij = x_i.replace_factor(j + 1, w)
-            lit_pair = doubled_term(rho, x_i, x_j, PermutationAction.of(i + 1))
+            lit_pair = doubled_term(rho, x_i, x_j, {i + 1})
             fac_pair = sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)
             worst = max(worst, abs(lit_pair - fac_pair) / max(1.0, abs(fac_pair)))
     ok = worst <= 1e-10

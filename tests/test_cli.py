@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 from time import perf_counter
 
@@ -306,6 +307,49 @@ class TestEval:
             "--x", "whatever.json",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["ghz:4:p=0.5,p=0.9", "w:4:3:p=0.2,q=0.1,p=0.3"])
+    def test_repeated_spec_parameter_exit_2(self, capsys, spec):
+        # neither value may silently win
+        code, out, err = run_cli(capsys, "eval", "--rho", spec, "--csv", "--k", "1")
+        assert code == 2 and out == ""
+        assert "parameter 'p' given twice" in err
+
+    # the probe files each theorem reads, and a preset that drives it
+    READS = {1: {"x", "y"}, 2: {"x", "omega"}}
+    PRESET = {1: "ghz-probe", 2: "w-probe"}
+    FILES = {"x": "x_d8.json", "y": "y_d8.json", "omega": "omega1.json,omega2.json"}
+
+    @pytest.mark.parametrize("theorem,flags,preset,per_tuple", [
+        pytest.param(theorem, flags, preset, per_tuple, id="-".join(
+            [f"t{theorem}", *flags] + ["preset"] * preset + ["per-tuple"] * per_tuple))
+        for theorem, preset, per_tuple in product((1, 2), (False, True), (False, True))
+        for size in range(4) for flags in combinations(("x", "y", "omega"), size)
+    ])
+    def test_probe_flags_are_read_or_refused(self, capsys, theorem, flags, preset, per_tuple):
+        # a probe flag the theorem does not read exits 2; it is never dropped
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        argv = ["eval", "--rho", str(inputs / "rho_d8.json"), "--theorem", str(theorem), "--csv"]
+        for flag in flags:
+            files = ",".join(str(inputs / name) for name in self.FILES[flag].split(","))
+            argv += [f"--{flag}", files]
+        argv += ["--preset", self.PRESET[theorem]] if preset else []
+        argv += ["--per-tuple"] if per_tuple else []
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "" or set(flags) <= self.READS[theorem]
+        valid = (set(flags) in (set(), self.READS[theorem]) and not (preset and flags)
+                 and not (per_tuple and theorem == 1))
+        assert code == (0 if valid else 2), argv
+
+    @pytest.mark.parametrize("theorem,flag", [(1, "omega"), (2, "y")])
+    def test_foreign_probe_flag_from_config_exit_2(self, capsys, tmp_path, theorem, flag):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: str(inputs / self.FILES[flag].split(",")[0])}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "eval", "--rho", "ghz:3",
+                                 "--theorem", str(theorem))
+        assert code == 2 and out == ""
+        assert f"theorem {theorem} does not read --{flag}" in err
 
     def test_per_tuple_requires_theorem_2(self, capsys):
         code, _, err = run_cli(

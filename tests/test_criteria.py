@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kunent import (
-    PermutationAction,
     ProductOperator,
     PureState,
     SiteDims,
@@ -49,7 +48,7 @@ class TestSwapOnSubset:
         dims = qubits(3)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        a, b = swap_on_subset(x, y, PermutationAction(frozenset()))
+        a, b = swap_on_subset(x, y, set())
         for fa, fx in zip(a.factors, x.factors):
             assert_allclose(fa, fx)
         for fb, fy in zip(b.factors, y.factors):
@@ -59,7 +58,7 @@ class TestSwapOnSubset:
         dims = qubits(3)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        a, b = swap_on_subset(x, y, PermutationAction.of(1, 2, 3))
+        a, b = swap_on_subset(x, y, {1, 2, 3})
         for fa, fy in zip(a.factors, y.factors):
             assert_allclose(fa, fy)
         for fb, fx in zip(b.factors, x.factors):
@@ -69,7 +68,7 @@ class TestSwapOnSubset:
         dims = qubits(3)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        a, b = swap_on_subset(x, y, PermutationAction.of(2))
+        a, b = swap_on_subset(x, y, {2})
         assert_allclose(a.factors[0], x.factors[0])
         assert_allclose(a.factors[1], y.factors[1])
         assert_allclose(a.factors[2], x.factors[2])
@@ -78,10 +77,22 @@ class TestSwapOnSubset:
         assert_allclose(b.factors[2], y.factors[2])
 
     def test_out_of_range(self, rng):
+        # sites are integers in 1..N: 0, N + 1 and 1.9 are rejected, not truncated
         dims = qubits(2)
         x = random_product_operator(dims, rng)
-        with pytest.raises(ValueError, match="out of range"):
-            swap_on_subset(x, x, PermutationAction.of(5))
+        for alpha in ({5}, {0}, {3}, {1.9}, {1, 2.0}, {"1"}):
+            with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+                swap_on_subset(x, x, alpha)
+
+    @pytest.mark.parametrize("alpha", [[2], (2,), frozenset({2}), range(2, 3), {np.int64(2)}])
+    def test_any_collection_of_sites(self, rng, alpha):
+        dims = qubits(3)
+        x = random_product_operator(dims, rng)
+        y = random_product_operator(dims, rng)
+        a, b = swap_on_subset(x, y, alpha)
+        ref_a, ref_b = swap_on_subset(x, y, {2})
+        for got, ref in zip(a.factors + b.factors, ref_a.factors + ref_b.factors):
+            assert np.array_equal(got, ref)
 
 
 class TestSiteSubstitution:
@@ -122,7 +133,7 @@ class TestTheorem1Term:
         amp = random_pure_product(dims, rng)
         rho = PureState(dims, amp).to_density_matrix()
         x = random_product_operator(dims, rng)
-        term = theorem1_term(rho, x, x, PermutationAction.of(1))
+        term = theorem1_term(rho, x, x, {1})
         assert term == pytest.approx(sandwich_trace(rho, x), rel=1e-10)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
@@ -133,7 +144,7 @@ class TestTheorem1Term:
             fam = ghz_noise_family(n)
             rho = fam.evaluate(p).dense()
             x, y = ghz_probe(fam.dims)
-            term = theorem1_term(rho, x, y, PermutationAction.of(1))
+            term = theorem1_term(rho, x, y, {1})
             assert term == pytest.approx((1 - p) / 2**n, rel=1e-12)
 
     def test_complement_symmetry_exact(self, rng):
@@ -141,8 +152,8 @@ class TestTheorem1Term:
         rho = random_mixed_state(dims, rng)
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
-        t1 = theorem1_term(rho, x, y, PermutationAction.of(1, 3))
-        t2 = theorem1_term(rho, x, y, PermutationAction.of(2, 4))
+        t1 = theorem1_term(rho, x, y, {1, 3})
+        t2 = theorem1_term(rho, x, y, {2, 4})
         assert t1 == t2  # same two sandwich factors, same multiset
 
 
@@ -156,9 +167,7 @@ class TestTheorem1Margin:
             rep = Theorem1Evaluator(x, y).evaluate(rho, 1)
             direct = 0.0
             for mask in range(1, (1 << n) - 1):
-                alpha = PermutationAction(
-                    frozenset(i + 1 for i in range(n) if mask >> i & 1)
-                )
+                alpha = {i + 1 for i in range(n) if mask >> i & 1}
                 direct += theorem1_term(rho, x, y, alpha)
             assert rep.rhs == pytest.approx(direct, rel=1e-10)
 
@@ -446,6 +455,13 @@ class TestKRange:
         traces = ev.traces(fam.evaluate(0.35))
         for k in (np.int64(2), np.array([2], dtype=np.uint8)):
             assert ev.margins(traces, k).margin == ev.margins(traces, 2).margin
+
+    def test_each_criterion_lists_its_own_k(self):
+        dims = qudits(5, 3)
+        x, om = w_probe(dims)
+        assert Theorem1Evaluator(*ghz_probe(dims)).ks() == [1, 2, 3, 4]
+        assert Theorem2Evaluator(x, om).ks() == [1, 2, 3, 4]
+        assert Theorem2K1Evaluator(x, om).ks() == [1]
 
 
 def test_t2_tuple_layout_is_one_read_only_owner_per_shape():

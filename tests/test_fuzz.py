@@ -14,8 +14,8 @@ from kunent.serialize import matrix_from_dict
 # arbitrary text, and specs of the grammar's shape with valid and invalid fields
 spec_fields = st.one_of(
     st.integers(-2, 6).map(str),
-    st.sampled_from(["I/8", "I/6", "I/0", "p=0.5", "q=0.2", "p=0.3,q=0.1", "p=-1", "p=nan",
-                     "p=1e400", "q", "99999999999999999999", " 3", "",
+    st.sampled_from(["I/8", "I/6", "I/0", "p=0.5", "q=0.2", "p=0.3,q=0.1", "p=0.5,p=0.9",
+                     "p=-1", "p=nan", "p=1e400", "q", "99999999999999999999", " 3", "",
                      "p=0." + "5" * 300]),  # longer than a file name may be
 )
 specs = st.one_of(

@@ -7,7 +7,6 @@ import pytest
 
 from kunent import (
     DensityMatrix,
-    PermutationAction,
     ProductOperator,
     PureState,
     SiteDims,
@@ -27,12 +26,12 @@ from kunent.oracle import ProofChainReport, factorization_check
 from conftest import random_mixed_state, random_product_operator, random_pure_product
 
 
-def swap_matrix(dims: SiteDims, alpha: PermutationAction) -> np.ndarray:
+def swap_matrix(dims: SiteDims, alpha: set[int]) -> np.ndarray:
     """Permutation matrix on H (x) H exchanging the alpha sites of the copies."""
     n = dims.n
     d2 = dims.total_dim**2
-    perm_axes = [i + n if (i + 1) in alpha.subset else i for i in range(n)] + [
-        i if (i + 1) in alpha.subset else i + n for i in range(n)
+    perm_axes = [i + n if (i + 1) in alpha else i for i in range(n)] + [
+        i if (i + 1) in alpha else i + n for i in range(n)
     ]
     targets = np.transpose(np.arange(d2).reshape(dims.dims * 2), perm_axes).reshape(-1)
     mat = np.zeros((d2, d2))
@@ -43,7 +42,7 @@ def swap_matrix(dims: SiteDims, alpha: PermutationAction) -> np.ndarray:
 def matrix_reading_lhs(rho: DensityMatrix, x: ProductOperator, y: ProductOperator) -> complex:
     """Tr[(X^dag x Y^dag) rho^(x2) P (X x Y)] with P the full subsystem-swap
     matrix acting by multiplication: the rejected reading of the permutation."""
-    p = swap_matrix(rho.dims, PermutationAction(frozenset(range(1, rho.dims.n + 1))))
+    p = swap_matrix(rho.dims, set(range(1, rho.dims.n + 1)))
     left = np.kron(assemble(x).conj().T, assemble(y).conj().T)
     right = p @ np.kron(assemble(x), assemble(y))
     return complex(np.einsum("ij,ji->", left, np.kron(rho.mat, rho.mat) @ right))
@@ -54,8 +53,19 @@ class TestDoubledTerm:
         dims = qubits(2)
         rho = random_mixed_state(dims, rng)
         eye = ProductOperator.identity(dims)
-        value = doubled_term(rho, eye, eye, PermutationAction(frozenset()))
+        value = doubled_term(rho, eye, eye, set())
         assert value == pytest.approx(1.0)  # trace of rho (x) rho
+
+    def test_alpha_is_any_collection_of_sites(self, rng):
+        dims = qubits(3)
+        rho = random_mixed_state(dims, rng)
+        x = random_product_operator(dims, rng)
+        y = random_product_operator(dims, rng)
+        value = doubled_term(rho, x, y, {1, 3})
+        for alpha in ([3, 1], (1, 3), frozenset({1, 3}), range(1, 4, 2)):
+            assert doubled_term(rho, x, y, alpha) == value
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            doubled_term(rho, x, y, {1.9})
 
     @pytest.mark.parametrize("n,d,trials", [(2, 2, 50), (2, 3, 50), (3, 2, 50), (3, 3, 20)])
     def test_factorization_identity(self, n, d, trials, rng):
@@ -65,9 +75,7 @@ class TestDoubledTerm:
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
-            alpha = PermutationAction(
-                frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            )
+            alpha = {i + 1 for i in range(n) if mask >> i & 1}
             lit = doubled_term(rho, x, y, alpha)
             a, b = swap_on_subset(x, y, alpha)
             fac = sandwich_trace(rho, a) * sandwich_trace(rho, b)
@@ -98,7 +106,7 @@ class TestDoubledTerm:
             rho = random_mixed_state(dims, rng)
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
-            alpha = PermutationAction.of(int(rng.integers(1, 4)))
+            alpha = {int(rng.integers(1, 4))}
             lit = doubled_term(rho, x, y, alpha)
             a, b = swap_on_subset(x, y, alpha)
             term = np.sqrt(max(sandwich_trace(rho, a), 0.0) * max(sandwich_trace(rho, b), 0.0))
@@ -111,7 +119,7 @@ class TestDoubledTerm:
         rho = DensityMatrix(dims, np.eye(128, dtype=complex) / 128, _check_psd=False)
         eye = ProductOperator.identity(dims)
         with pytest.raises(ValueError, match="oracle"):
-            doubled_term(rho, eye, eye, PermutationAction(frozenset()))
+            doubled_term(rho, eye, eye, set())
 
 
 class TestRejectedReading:
@@ -141,7 +149,7 @@ class TestRejectedReading:
 
     def test_swap_matrix_is_involution(self):
         dims = qubits(2)
-        p = swap_matrix(dims, PermutationAction.of(1))
+        p = swap_matrix(dims, {1})
         assert np.array_equal(p @ p, np.eye(16))
         assert np.array_equal(p, p.T)
 

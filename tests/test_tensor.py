@@ -76,6 +76,20 @@ class TestSiteDims:
             SiteDims((2, 2, 2, 2, 2))
         SiteDims((2, 2, 2, 2))  # exactly at the cap
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2), (np.float64(3), 3)])
+    def test_rejects_non_integer_dimension(self, dims):
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            SiteDims(dims)
+
+    def test_qudits_rejects_non_integer_dimension(self):
+        with pytest.raises(ValueError, match="local dimensions must be integers"):
+            qudits(3, 2.5)
+
+    def test_numpy_integers_become_int(self):
+        dims = SiteDims((np.int64(2), np.int32(3)))
+        assert dims.dims == (2, 3)
+        assert all(type(d) is int for d in dims.dims)
+
     def test_uniform(self):
         assert SiteDims((3, 3)).uniform() == 3
         with pytest.raises(ValueError, match="unequal"):
