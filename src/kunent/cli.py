@@ -47,6 +47,7 @@ from .serialize import load_density_matrix, load_factor, load_product_operator
 from .states import Mixture, ghz_noise_family, w_noise_family
 from .tensor import DensityMatrix, SiteDims, qubits
 from .thresholds import (
+    _SCAN_PROBES,
     boundary_scan_csv,
     ghz_threshold_table,
     pq_boundary_scan,
@@ -268,9 +269,10 @@ def cmd_table1(args) -> int:
 
 def cmd_fig1(args) -> int:
     rows = pq_boundary_scan(args.n, args.d, range(1, args.n), args.grid, probe=args.probe)
-    gridline = "q" if args.probe == "w" else "p"
-    star = "p_star" if args.probe == "w" else "q_star"
-    sys.stdout.write(boundary_scan_csv(rows, gridline_name=gridline, star_name=star))
+    # the bisected weight names the star column, the other one the gridlines
+    names = list(w_noise_family(args.n, args.d).param_names)
+    star = names.pop(_SCAN_PROBES[args.probe][1])
+    sys.stdout.write(boundary_scan_csv(rows, gridline_name=names[0], star_name=star + "_star"))
     return 0
 
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f1.add_argument("--n", type=int, default=5)
     p_f1.add_argument("--d", type=int, default=4)
     p_f1.add_argument("--grid", type=int, default=200)
-    p_f1.add_argument("--probe", choices=("w", "wtilde"), default="w")
+    p_f1.add_argument("--probe", choices=tuple(_SCAN_PROBES), default="w")
     p_f1.set_defaults(func=cmd_fig1)
 
     p_oc = sub.add_parser("oracle-check", help="doubled-space equivalence report")

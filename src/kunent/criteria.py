@@ -125,7 +125,7 @@ def swap_on_subset(
         raise ValueError("x and y must share site dimensions")
     n = x.dims.n
     alpha = set(alpha)
-    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= n for i in alpha):
+    if not all(map(x.dims.is_site, alpha)):
         raise ValueError(f"subset {alpha} out of range 1..{n}")
     a_factors = tuple(y.factors[i] if i + 1 in alpha else x.factors[i] for i in range(n))
     b_factors = tuple(x.factors[i] if i + 1 in alpha else y.factors[i] for i in range(n))
@@ -137,8 +137,9 @@ def swap_on_subset(
 # linear in rho.  Evaluating a criterion along a noise family then reduces
 # to weighted sums of per-component bundles (see `thresholds`).  A bundle's
 # fields may carry a leading batch axis, one entry per mixture (`combine`);
-# each theorem has one vectorised margin formula (`margins`) that serves a
-# whole batch and the single-bundle `report` alike.
+# each theorem has one vectorised margin formula (`_evaluate`) that serves a
+# whole batch, the single-bundle `report` and a family's distinct columns
+# alike (`_gather`).
 # --------------------------------------------------------------------------
 
 
@@ -155,6 +156,20 @@ def _combine(bundles: Sequence, weights):
         pad = (...,) + (None,) * np.ndim(getattr(first, name))
         fields.append(sum(w[..., c][pad] * getattr(b, name) for c, b in enumerate(bundles)))
     return type(first)(*fields)
+
+
+def _gather(values: np.ndarray, inverse: np.ndarray | None, order=slice(None)) -> np.ndarray:
+    """Entries `order` (flat indices into the field; all by default) of a
+    field from its per-column `values` (..., columns).  A plain bundle's
+    columns are its entries (`inverse` None); a family's are its distinct
+    ones (`thresholds.FamilyMargin`), `inverse` holding each entry's column."""
+    if inverse is not None:
+        order = inverse.reshape(-1)[order]
+    if isinstance(order, slice):
+        return values[..., order]
+    # take, not fancy indexing: its rows come out contiguous, so np.sum
+    # adds each pairwise, whatever the batch
+    return values.take(order, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +308,9 @@ class _Criterion:
         """Every k the criterion is defined for, which `eval` reports by default: 1..N-1."""
         return list(range(1, self.dims.n))
 
-    def margins(self, traces, k: int) -> Margins:
-        return self._evaluate(traces, k)[0]
+    def margins(self, traces, k: int, inverse: dict | None = None) -> Margins:
+        """`inverse`: each field's entry->column map (`_gather`); none for a plain bundle."""
+        return self._evaluate(traces, k, inverse)[0]
 
     def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
         return self.report(self.traces(rho), k)
@@ -334,13 +350,15 @@ class Theorem1Evaluator(_Criterion):
         subset = subset_trace_sweep(rho, pairs).real
         return Theorem1Traces(self.dims.n, cross_trace(rho, self.x, self.y), subset)
 
-    def _evaluate(self, traces: Theorem1Traces, k: int) -> tuple[Margins, np.ndarray]:
+    def _evaluate(self, traces: Theorem1Traces, k: int, inverse=None) -> tuple[Margins, np.ndarray]:
         n = traces.n
         _check_k(n, k)
         full = (1 << n) - 1
-        clamped = np.maximum(traces.subset, 0.0)
+        at = (inverse or {}).get
+        clamped = np.maximum(np.reshape(traces.subset, (*np.shape(traces.cross), -1)), 0.0)
         # term of mask m (1 <= m < full) pairs subset[m] with its complement
-        terms = np.sqrt(clamped[..., 1:full] * clamped[..., full - 1:0:-1])
+        terms = np.sqrt(_gather(clamped, at("subset"), slice(1, full))
+                        * _gather(clamped, at("subset"), slice(full - 1, 0, -1)))
         # np.hypot gives the bits of abs() on a Python complex; np.abs differs
         lhs = np.hypot(np.real(traces.cross), np.imag(traces.cross))
         # a running sum adds the terms in mask order, one at a time; np.sum
@@ -413,41 +431,36 @@ class Theorem2Evaluator(_Criterion):
         base = float(np.einsum("ab,ba->", r_site[0], baseline[0]).real)
         return Theorem2Traces(n, big_t, cross, pair, site, base)
 
-    def _evaluate(self, traces: Theorem2Traces, k: int):
-        """Margins, plus the rhs pair and site sums a report lists."""
+    def _evaluate(self, traces: Theorem2Traces, k: int, inverse=None):
+        """Margins, the rhs pair and site sums, and per column the |cross|,
+        sqrt(base * pair) and clamped site traces a report lists."""
         n, big_t = traces.n, traces.n_omega
         _check_k(n, k)
-        # one row per bundle, gathered contiguous: np.sum adds each row
-        # pairwise, as it adds a lone bundle
-        flat, summed = (*np.shape(traces.base), -1), _tuple_layout(n, big_t)[3]
+        at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
+        summed = _tuple_layout(n, big_t)[3]
         base = np.maximum(traces.base, 0.0)
-        cross_terms = np.abs(traces.cross).reshape(flat).take(summed, axis=-1)
-        pair = np.maximum(traces.pair, 0.0).reshape(flat).take(summed, axis=-1)
-        lhs = np.sum(cross_terms, axis=-1)
-        rhs_pairs = np.sum(np.sqrt(base[..., None] * pair), axis=-1)
-        site_sum = np.sum(np.maximum(traces.site, 0.0).reshape(flat), axis=-1)
-        rhs_sites = big_t * (n - k - 1) * site_sum
+        cross = np.abs(np.reshape(traces.cross, flat))
+        pair = np.sqrt(base[..., None] * np.maximum(np.reshape(traces.pair, flat), 0.0))
+        site = np.maximum(np.reshape(traces.site, flat), 0.0)
+        lhs = np.sum(_gather(cross, at("cross"), summed), axis=-1)
+        rhs_pairs = np.sum(_gather(pair, at("pair"), summed), axis=-1)
+        rhs_sites = big_t * (n - k - 1) * np.sum(_gather(site, at("site")), axis=-1)
         rhs = rhs_pairs + rhs_sites
         margin = lhs - rhs
         n_terms = big_t * big_t * n * (n - 1) + big_t * n
         detected = certified(margin, np.maximum(lhs, rhs), n_terms, self.dims.total_dim)
-        return Margins(lhs, rhs, margin, detected), rhs_pairs, rhs_sites
+        return Margins(lhs, rhs, margin, detected), rhs_pairs, rhs_sites, cross, pair, site
 
     def report(self, traces: Theorem2Traces, k: int) -> CriterionReport:
-        m, rhs_pairs, rhs_sites = self._evaluate(traces, k)
-        base = max(float(traces.base), 0.0)
+        m, rhs_pairs, rhs_sites, cross, pair, site = self._evaluate(traces, k)
         listed = _tuple_layout(traces.n, traces.n_omega)[2]
-        cross_terms = np.abs(traces.cross).reshape(-1).take(listed)
-        pair_terms = np.sqrt(base * np.maximum(traces.pair, 0.0).reshape(-1).take(listed))
-        values = np.concatenate((
-            np.stack((cross_terms, pair_terms), axis=-1).reshape(-1),
-            np.maximum(traces.site, 0.0).reshape(-1),
-        ))
+        tuples = np.stack((cross[listed], pair[listed]), axis=-1).reshape(-1)
+        values = np.concatenate((tuples, site))
         return self._report(m, k, (
             ("lhs_sum", float(m.lhs)),
             ("rhs_pair_sum", float(rhs_pairs)),
             ("rhs_site_sum", float(rhs_sites)),
-            ("base", base),
+            ("base", max(float(traces.base), 0.0)),
             *zip(_t2_term_labels(traces.n, traces.n_omega), values.tolist()),
         ))
 
@@ -461,15 +474,17 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
     def ks(self) -> list[int]:
         return [1]
 
-    def _evaluate(self, traces: Theorem2Traces, k: int) -> tuple[Margins, np.ndarray]:
+    def _evaluate(self, traces: Theorem2Traces, k: int, inverse=None) -> tuple[Margins, np.ndarray]:
         """Margins plus every tuple margin |cross|^2 - base * pair."""
         k = np.ravel(k)
         if np.any(k != 1):
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k[k != 1][0]}")
-        flat, listed = (*np.shape(traces.base), -1), _tuple_layout(traces.n, traces.n_omega)[2]
+        at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
+        listed = _tuple_layout(traces.n, traces.n_omega)[2]
         base = np.maximum(traces.base, 0.0)
-        lhs = (np.abs(traces.cross) ** 2).reshape(flat).take(listed, axis=-1)
-        rhs = base[..., None] * np.maximum(traces.pair, 0.0).reshape(flat).take(listed, axis=-1)
+        lhs = _gather(np.abs(np.reshape(traces.cross, flat)) ** 2, at("cross"), listed)
+        rhs = _gather(base[..., None] * np.maximum(np.reshape(traces.pair, flat), 0.0),
+                      at("pair"), listed)
         tuples = lhs - rhs
         # witness: the first largest tuple margin; lhs/rhs are reported for it
         best = np.argmax(tuples, axis=-1)[..., None]

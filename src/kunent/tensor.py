@@ -93,6 +93,10 @@ class SiteDims:
     def total_dim(self) -> int:
         return prod(self.dims)
 
+    def is_site(self, site) -> bool:
+        """Whether `site` names a site: an integer in 1..N (a float never does)."""
+        return isinstance(site, (int, np.integer)) and 1 <= site <= self.n
+
     def uniform(self) -> int:
         """The shared local dimension; raises if sites differ."""
         d = self.dims[0]
@@ -144,8 +148,8 @@ class ProductOperator:
 
     def replace_factor(self, site: int, factor: np.ndarray) -> "ProductOperator":
         """Copy with the factor at `site` (1-based) replaced."""
-        if not 1 <= site <= self.dims.n:
-            raise ValueError(f"site {site} out of range 1..{self.dims.n}")
+        if not self.dims.is_site(site):
+            raise ValueError(f"site {site!r} out of range 1..{self.dims.n}")
         factors = list(self.factors)
         factors[site - 1] = factor
         return ProductOperator(self.dims, tuple(factors))

@@ -7,9 +7,9 @@ per-component bundles.  `FamilyMargin` computes those component bundles
 once, from the signals' amplitudes and analytically for white noise, and
 keeps only their distinct columns; a margin evaluation at any mixing
 weights is then a few array operations, and one call evaluates a whole
-batch of weights, each row at its own k.  Every threshold comes from a
-batched bisection (`_slice_thresholds`): `ghz_threshold_table` bisects
-all its k in one batch, and `pq_boundary_scan` all gridlines of one k.
+batch of weights, each row at its own k, on the distinct columns (only
+`FamilyMargin.report` restores full fields).  Every threshold comes from one
+batched bisection (`_slice_thresholds`) over all k of a scan at once.
 
 The margin of the summed criteria (T1, and T2 for every k) is *convex*
 in the scanned weight, not affine: |affine| terms minus square roots of
@@ -98,12 +98,13 @@ class FamilyMargin:
 
     Site-permutation symmetric families repeat entries (the W family's
     bundles at n = 5, d = 4 hold 6 distinct columns among 466 entries), so
-    each mixed field is stacked over the components once and only its
-    distinct columns (`np.unique`) are mixed, by the bundle class's
-    `combine`; one `take` per field restores its shape.  The bits are those
-    of mixing every entry: np.unique merges columns that differ at most in
-    the sign of a zero, and the mix, from 0 + as `sum` does, turns every
-    -0.0 into +0.0.
+    only each field's distinct columns (`np.unique`) are kept and mixed, by
+    the bundle class's `combine`.  `margins` hands them to the criterion with
+    each field's entry->column map, so its elementwise work runs once per
+    distinct value (`criteria._gather`); `report` alone restores the full
+    fields, since it lists every term.  The bits are those of mixing every
+    entry: np.unique merges columns that differ at most in the sign of a
+    zero, and the mix, from 0 + as `sum` does, turns every -0.0 into +0.0.
     """
 
     def __init__(self, family: NoiseFamily, evaluator):
@@ -112,36 +113,38 @@ class FamilyMargin:
         bundles = [evaluator.traces(c) for c in (*family.signals, WhiteNoise(family.dims))]
         cls = type(bundles[0])
         self._combine = cls.combine
-        self._restore, columns = [], []
+        self._inverse, columns = {}, []
         for name in cls._mixed:
-            stacked = np.stack([np.reshape(getattr(b, name), -1) for b in bundles])
-            distinct, inverse = np.unique(stacked, axis=1, return_inverse=True)
-            self._restore.append((name, inverse.reshape(-1), np.shape(getattr(bundles[0], name))))
-            columns.append(distinct)
+            stacked = np.stack([getattr(b, name) for b in bundles])
+            if stacked.ndim > 1:  # a field of one entry per bundle is its own column
+                stacked, inverse = np.unique(stacked.reshape(len(bundles), -1), axis=1,
+                                             return_inverse=True)
+                self._inverse[name] = inverse.reshape(np.shape(getattr(bundles[0], name)))
+            columns.append(stacked)
         kept = [getattr(bundles[0], name) for name in cls._kept]
         self._columns = [cls(*kept, *(c[i] for c in columns)) for i in range(len(bundles))]
 
-    def _bundle(self, params):
-        """Mixture bundle at one parameter row (n_signals,), or at each row
-        of a batch; the white-noise weight is 1 - sum(row)."""
+    def _mix(self, params):
+        """The mixed columns at one parameter row (n_signals,), or at each
+        row of a batch; the white-noise weight is 1 - sum(row)."""
         params = np.asarray(params, dtype=float)
         n_signals = len(self.family.signals)
         if params.ndim == 0 or params.shape[-1] != n_signals:
             raise ValueError(f"family takes {n_signals} parameters, "
                              f"got {params.shape[-1:] or 'a scalar'}")
-        mixed = self._combine(self._columns, component_weights(params))
-        return replace(mixed, **{
-            name: getattr(mixed, name).take(inverse, axis=-1).reshape(params.shape[:-1] + shape)
-            for name, inverse, shape in self._restore
-        })
+        return self._combine(self._columns, component_weights(params))
 
     def margins(self, params, k) -> Margins:
         """Criterion values at one parameter row, or at each row of a
         (B, n_signals) batch, at one k or at an int array of one k per row."""
-        return self.evaluator.margins(self._bundle(params), k)
+        return self.evaluator.margins(self._mix(params), k, self._inverse)
 
     def report(self, params: Sequence[float], k: int) -> CriterionReport:
-        return self.evaluator.report(self._bundle(params), k)
+        mixed = self._mix(params)
+        return self.evaluator.report(replace(mixed, **{
+            name: getattr(mixed, name).take(inverse, axis=-1)
+            for name, inverse in self._inverse.items()
+        }), k)
 
     def margin(self, params: Sequence[float], k: int) -> float:
         return float(self.margins(params, k).margin)
@@ -320,15 +323,13 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
         raise ValueError(f"grid must be >= 1, got {grid}")
     make_probe, axis = _SCAN_PROBES[probe]
     fm = FamilyMargin(family, Theorem2Evaluator(*make_probe(family.dims)))
-    g = np.arange(grid + 1) / grid
-    rows = []
-    # one bisection per k: a batch of every k's gridlines is faster, but
-    # its per-step arrays grow the peak memory of a scan by over 10%
-    for k in np.atleast_1d(k).tolist():
-        roots, residuals = _slice_thresholds(fm, k, g[:, None], axis)
-        rows += [BoundaryPoint(k, float(gl), None if np.isnan(r) else float(r), float(res))
-                 for gl, r, res in zip(g, roots, residuals)]
-    return rows
+    # one bisection of every k's gridlines, one k per row, k-major
+    ks = np.atleast_1d(k)
+    g = np.tile(np.arange(grid + 1) / grid, ks.size)
+    ks = np.repeat(ks, grid + 1)
+    roots, residuals = _slice_thresholds(fm, ks, g[:, None], axis)
+    return [BoundaryPoint(k, float(gl), None if np.isnan(r) else float(r), float(res))
+            for k, gl, r, res in zip(ks.tolist(), g, roots, residuals)]
 
 
 def _fmt(x: float | None) -> str:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kunent import (
     DensityMatrix,
@@ -334,6 +337,13 @@ def family_margins():
     ]
 
 
+@lru_cache(maxsize=None)
+def _family_margin(label: str):
+    """(FamilyMargin, ks) of the `family_margins` case `label`, built once."""
+    (case,) = [(fm, ks) for name, fm, ks in family_margins() if name == label]
+    return case
+
+
 def _component_bundles(fm: FamilyMargin) -> list:
     return [fm.evaluator.traces(c) for c in (*fm.family.signals, WhiteNoise(fm.family.dims))]
 
@@ -369,6 +379,29 @@ class TestBatchedMargins:
                 looped = fm.evaluator.report(_loop_combine(bundles, row), k)
                 assert m == fm.margin(row, k) == report.margin == looped.margin
                 assert det == report.detected == looped.detected
+
+    @pytest.mark.parametrize("label", [label for label, _, _ in family_margins()])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_batch_rows_match_mixture_bundles(self, label, data):
+        # fm.margins works on the family's distinct columns; each of its
+        # rows must have the bits of the criterion on the full bundle of
+        # that family point, whatever else the batch holds
+        fm, ks = _family_margin(label)
+        n_params = len(fm.family.signals)
+        raw = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=n_params + 1, max_size=n_params + 1),
+            min_size=1, max_size=12))
+        params = np.array([row[:n_params] for row in raw]) / np.maximum(
+            np.sum(raw, axis=1, keepdims=True), 1.0)
+        row_ks = np.array(data.draw(st.lists(st.sampled_from(list(ks)),
+                                             min_size=len(raw), max_size=len(raw))))
+        batch = fm.margins(params, row_ks)
+        ev = fm.evaluator
+        for i, (row, k) in enumerate(zip(params, row_ks.tolist())):
+            want = ev.margins(ev.traces(fm.family.evaluate(*row)), k)
+            got = [np.asarray(field)[i].tobytes() for field in batch]
+            assert got == [np.asarray(field).tobytes() for field in want], (row, k)
 
     def test_signed_zero_columns_are_merged(self):
         # the family of the signed-zero case above repeats columns, and

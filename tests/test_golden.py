@@ -19,7 +19,9 @@ CASES = {
     "fig1_n5_d4_grid40_wtilde.csv": [
         "fig1", "--n", "5", "--d", "4", "--grid", "40", "--probe", "wtilde",
     ],
+    "fig1_n6_d3_grid50_w.csv": ["fig1", "--n", "6", "--d", "3", "--grid", "50"],
     "table1.csv": ["table1"],
+    "table1_n9.csv": ["table1", "--n", "9"],
     "table1_n10.csv": ["table1", "--n", "10"],
     "eval_ghz6_p0.6_t1.json": ["eval", "--rho", "ghz:6:p=0.6", "--theorem", "1"],
     "eval_ghz10_p0.55_t1.csv": ["eval", "--rho", "ghz:10:p=0.55", "--theorem", "1", "--csv"],

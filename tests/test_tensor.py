@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -165,6 +166,13 @@ class TestProductOperator:
         assert_allclose(op.factors[1], I2)
         with pytest.raises(ValueError, match="out of range"):
             op.replace_factor(3, RAISE)
+
+    @pytest.mark.parametrize("site", [2.0, 1.5, np.float64(1.0), "1"], ids=["2.0", "1.5", "np1.0", "str"])
+    def test_replace_factor_rejects_non_integer_site(self, site):
+        # sites are integers, as in swap_on_subset: 2.0 once raised a TypeError
+        op = ProductOperator.identity(qubits(3))
+        with pytest.raises(ValueError, match=rf"site {re.escape(repr(site))} out of range 1\.\.3"):
+            op.replace_factor(site, RAISE)
 
 
 class TestStateValidation:

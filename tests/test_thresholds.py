@@ -319,6 +319,10 @@ class TestScanWork:
     def test_fig1_builds_one_family_margin(self, monkeypatch, capsys):
         builds = self.count(monkeypatch, "__init__")
         margins = self.count(monkeypatch, "margins")
-        assert main(["fig1", "--n", "5", "--d", "4", "--grid", "200"]) == 0
-        assert len(builds) == 1
-        assert len(margins) <= 120
+        for probe in ("w", "wtilde"):
+            builds.clear()
+            margins.clear()
+            assert main(["fig1", "--n", "5", "--d", "4", "--grid", "200", "--probe", probe]) == 0
+            assert len(builds) == 1
+            # every k's gridlines bisected in one batch, as table1 bisects its k
+            assert len(margins) <= 32
