@@ -40,6 +40,7 @@ from .tensor import (
     WhiteNoise,
     assemble,
     cross_trace,
+    pair_blocks,
     pair_reduced,
     product_trace,
     qubits,

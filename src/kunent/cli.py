@@ -33,6 +33,8 @@ from math import isfinite, log2
 from os.path import commonprefix, isfile
 from typing import Sequence
 
+import numpy as np
+
 from .criteria import (
     CriterionReport,
     Theorem1Evaluator,
@@ -44,7 +46,7 @@ from .criteria import (
 )
 from .oracle import oracle_check
 from .serialize import load_density_matrix, load_factor, load_product_operator
-from .states import Mixture, ghz_noise_family, w_noise_family
+from .states import W_PARAMS, Mixture, ghz_noise_family, w_noise_family
 from .tensor import DensityMatrix, SiteDims, qubits
 from .thresholds import (
     _SCAN_PROBES,
@@ -202,11 +204,23 @@ _TERMS_MARKER, _TERMS_FIRST, _TERM_MID, _TERMS_BETWEEN, _TERMS_LAST = _terms_lay
 
 
 def _json_floats(values: Sequence[float]) -> list[str]:
-    """Floats as json.dumps writes them: repr, or NaN / Infinity / -Infinity."""
-    texts = list(map(float.__repr__, values))
-    if all(map(isfinite, values)):
-        return texts
-    return [t if isfinite(v) else json.dumps(v) for t, v in zip(texts, values)]
+    """Floats as json.dumps writes them: repr, or NaN / Infinity / -Infinity.
+
+    Report terms repeat a few values many times over, so each distinct bit
+    pattern is written once; bits, not values, keep -0.0 apart from 0.0.
+    """
+    distinct, inverse = np.unique(np.array(values, dtype=float).view(np.int64),
+                                  return_inverse=True)
+    texts = [float.__repr__(v) if isfinite(v) else json.dumps(v)
+             for v in distinct.view(float).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _label_texts(names: Sequence[str]) -> list[str]:
+    """The text before each term's value: its label encoded, after the
+    previous value's separator."""
+    return [("" if at == 0 else _TERMS_BETWEEN) + encode_basestring_ascii(name) + _TERM_MID
+            for at, name in enumerate(names)]
 
 
 def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
@@ -231,12 +245,15 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     )
     head, *tails = skeleton.split(_TERMS_MARKER)
     parts = [head]
+    labels = {}  # the reports of a criterion share one label tuple, encoded once
     for report, tail in zip(reports, tails, strict=True):
         if report.terms:
             names, values = zip(*report.terms)
-            pairs = zip(map(encode_basestring_ascii, names), _json_floats(values))
-            items = _TERMS_BETWEEN.join(map(_TERM_MID.join, pairs))
-            parts += (_TERMS_MARKER[:-1], _TERMS_FIRST, items, _TERMS_LAST, _TERMS_MARKER[-1])
+            if names not in labels:
+                labels[names] = _label_texts(names)
+            items = [""] * (2 * len(names))
+            items[::2], items[1::2] = labels[names], _json_floats(values)
+            parts += (_TERMS_MARKER[:-1], _TERMS_FIRST, *items, _TERMS_LAST, _TERMS_MARKER[-1])
         else:
             parts.append(_TERMS_MARKER)
         parts.append(tail)
@@ -270,7 +287,7 @@ def cmd_table1(args) -> int:
 def cmd_fig1(args) -> int:
     rows = pq_boundary_scan(args.n, args.d, range(1, args.n), args.grid, probe=args.probe)
     # the bisected weight names the star column, the other one the gridlines
-    names = list(w_noise_family(args.n, args.d).param_names)
+    names = list(W_PARAMS)
     star = names.pop(_SCAN_PROBES[args.probe][1])
     sys.stdout.write(boundary_scan_csv(rows, gridline_name=names[0], star_name=star + "_star"))
     return 0

@@ -60,7 +60,7 @@ from .tensor import (
     State,
     _frozen_complex,
     cross_trace,
-    pair_reduced,
+    pair_blocks,
     subset_trace_sweep,
 )
 
@@ -409,8 +409,7 @@ class Theorem2Evaluator(_Criterion):
         # pair blocks R[p, a_i, a_j, b_i, b_j] of the pairs i < j in
         # np.triu_indices order; Tr[R (g_i x g_j)] = sum R g_i[b_i, a_i] g_j[b_j, a_j]
         rows, cols, _, _ = _tuple_layout(n, big_t)
-        reduced = np.stack([pair_reduced(rho, i, j, baseline) for i, j in zip(rows, cols)])
-        reduced = reduced.reshape(-1, d, d, d, d)
+        reduced = pair_blocks(rho, baseline).reshape(-1, d, d, d, d)
         cross = np.zeros((big_t, big_t, n, n), dtype=complex)
         cross[:, :, rows, cols] = np.einsum("pwxyz,spyw,tpzx->stp", reduced,
                                             sub[:, rows], sup[:, cols])

@@ -187,11 +187,14 @@ def ghz_noise_family(n: int) -> NoiseFamily:
     return NoiseFamily(qubits(n), (ghz(n),), ("p",), f"ghz:{n}")
 
 
+#: The weight names of `w_noise_family`, in signal order (W, then shifted W);
+#: `fig1` names its columns from them without building a family.
+W_PARAMS = ("p", "q")
+
+
 def w_noise_family(n: int, d: int) -> NoiseFamily:
     """rho(p, q) = p |W><W| + q |W~><W~| + (1-p-q) I/d^n."""
-    return NoiseFamily(
-        qudits(n, d), (w_state(n, d), w_tilde(n, d)), ("p", "q"), f"w:{n}:{d}"
-    )
+    return NoiseFamily(qudits(n, d), (w_state(n, d), w_tilde(n, d)), W_PARAMS, f"w:{n}:{d}")
 
 
 def _random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

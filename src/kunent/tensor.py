@@ -14,28 +14,36 @@ Conventions
   arrays are defensive copies marked read-only.
 
 The trace kernels at the bottom (`sandwich_trace`, `cross_trace`,
-`product_trace`, `subset_trace_sweep`, `pair_reduced`) evaluate every
+`product_trace`, `subset_trace_sweep`, `pair_blocks`) evaluate every
 expectation needed by the detection criteria on a *single* copy of the
 state, for each of the three representations: the operator side is kept
 in product form and contracted site by site, so neither a two-copy state
 nor the assembled N-site operator is ever built, and a pure state or white
-noise is never expanded to a D x D matrix.  Costs per representation:
+noise is never expanded to a D x D matrix.  Costs per representation, with
+P = N(N-1)/2 site pairs:
 
-- dense: O(D^2) time per trace, and per pair block of `pair_reduced`
-  (which also copies rho once per pair); `subset_trace_sweep` makes 4N - 2
-  einsum calls over stacks of partial blocks, with at most 3/8 of rho extra;
+- dense: O(D^2) time per trace, and per pair block of `pair_blocks`, which
+  still contracts (and copies) rho once per pair; `subset_trace_sweep`
+  makes 4N - 2 einsum calls over stacks of partial blocks, with at most 3/8
+  of rho extra;
 - pure: O(N D d) time and O(D) memory per trace; `subset_trace_sweep`
   meets in the middle with two 2^(N/2) x D amplitude stacks and one
-  matrix product, O(2^N D) time and O(2^(N/2) D) memory;
+  matrix product, O(2^N D) time and O(2^(N/2) D) memory; `pair_blocks`
+  shares two sweeps over the sites between all pairs, O(N^2 D d / 2) time
+  instead of O(N^3 D d / 2) pair by pair, then one stacked product of
+  O(P D d^2), with O(P D) memory (about 4 MiB per stack at D = 4096, N = 12);
 - white noise: O(N d) per trace, an outer product of local traces,
-  O(2^N), for `subset_trace_sweep`.
+  O(2^N), for `subset_trace_sweep`, and O(P N) scalar products for
+  `pair_blocks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import prod
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -55,6 +63,7 @@ __all__ = [
     "sandwich_trace",
     "cross_trace",
     "subset_trace_sweep",
+    "pair_blocks",
     "pair_reduced",
 ]
 
@@ -64,7 +73,7 @@ def _frozen_complex(a: np.ndarray | Sequence, shape: tuple[int, ...], what: str)
     arr = np.array(a, dtype=complex, order="C")
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr.view(float)).all():  # the method skips np.all's Python wrapper
         raise ValueError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -369,40 +378,134 @@ def _choice_stack(amplitudes, dims, sites, pairs, dagger: bool) -> np.ndarray:
     return stack
 
 
-def pair_reduced(
-    rho: State, i: int, j: int, baseline: Sequence[np.ndarray]
+def pair_blocks(
+    rho: State, baseline: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]] | None = None
 ) -> np.ndarray:
-    """`rho` contracted with baseline factors at every site except i < j.
+    """Pair blocks of `rho`: for each pair of 0-based sites i < j (all of
+    them in np.triu_indices order by default), the (d_i*d_j, d_i*d_j)
+    block R with Tr[rho (.. g_i .. g_j ..)] = Tr[R (g_i x g_j)] for any
+    kept-site factors, where every other site m carries ``baseline[m]``.
+    The pairs must share d_i*d_j; the result is (P, d_i*d_j, d_i*d_j).
 
-    Sites are 0-based.  Returns the (d_i*d_j, d_i*d_j) block R with
-    Tr[rho (.. g_i .. g_j ..)] = Tr[R (g_i x g_j)] for any kept-site
-    factors, where every other site m carries ``baseline[m]``.  A pure
-    state gives R = Psi Phi^dag, with Psi the amplitudes as a (kept, rest)
-    matrix and Phi the same after applying baseline[m]^dag on the rest.
+    - dense: each pair's rest sites contracted with the baseline factors
+      joined into one matrix, and rho copied once per pair;
+    - white noise: the identity times 1/D and the per-site traces
+      tr(baseline[m]) of each pair's rest sites, multiplied in increasing m;
+    - pure: two sweeps over the sites that all pairs share
+      (`_split_applied`), then every pair's block in one stacked matmul.
     """
     dims = rho.dims.dims
     n = len(dims)
-    rest = [m for m in range(n) if m not in (i, j)]
-    kept = dims[i] * dims[j]
+    if pairs is None:
+        pairs = tuple(combinations(range(n), 2))
+    else:
+        pairs = tuple(map(tuple, pairs))
+        if not pairs or not all(0 <= i < j < n for i, j in pairs):
+            raise ValueError(f"pairs must be sites 0 <= i < j < {n}, got {pairs}")
+    kept = dims[pairs[0][0]] * dims[pairs[0][1]]
     if isinstance(rho, WhiteNoise):
-        value = 1.0 / rho.dims.total_dim
-        for m in rest:
-            value = value * np.trace(baseline[m])
-        return value * np.eye(kept, dtype=complex)
-    perm = [i, j, *rest]
+        # scalar products, left to right: numpy's complex array multiply
+        # may fuse a multiply-add, its scalar multiply does not
+        traces = [np.trace(b) for b in baseline]
+        value = [reduce(mul, (t for m, t in enumerate(traces) if m not in pair),
+                        1.0 / rho.dims.total_dim) for pair in pairs]
+        return np.array(value)[:, None, None] * np.eye(kept, dtype=complex)
     if isinstance(rho, PureState):
-        psi = rho.amplitudes.reshape(dims)
-        phi = psi
+        u, w = _split_applied(rho.amplitudes, baseline, pairs)
+        u_at, w_at = _pair_gather(dims, pairs)
+        return u.take(u_at) @ w.take(w_at).transpose(0, 2, 1)
+    blocks = np.empty((len(pairs), kept, kept), dtype=complex)
+    for p, (i, j) in enumerate(pairs):
+        rest = [m for m in range(n) if m not in (i, j)]
+        u_rest = np.array([[1.0 + 0.0j]])
         for m in rest:
-            phi = _apply_site(phi, m, baseline[m].conj().T)
-        psi_m = np.transpose(psi, perm).reshape(kept, -1)
-        phi_m = np.transpose(phi, perm).reshape(kept, -1)
-        return psi_m @ phi_m.conj().T
-    u_rest = np.array([[1.0 + 0.0j]])
-    for m in rest:
-        # the products np.kron(u_rest, baseline[m]) makes, in the same order
+            # the products np.kron(u_rest, baseline[m]) makes, in the same order
+            b = baseline[m]
+            u_rest = (u_rest[:, None, :, None] * b[None, :, None, :]).reshape(len(u_rest) * len(b), -1)
+        perm = [i, j, *rest]
+        rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + q for q in perm])
+        rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
+        blocks[p] = np.einsum("arbs,sr->ab", rho_p, u_rest)
+    return blocks
+
+
+@lru_cache(maxsize=16)  # an entry is 2 P D indices, 4.3 MiB at D = 4096, N = 12
+def _pair_gather(dims: tuple[int, ...], pairs: tuple[tuple[int, int], ...]):
+    """Read-only (P, kept, rest) flat indices into the two stacks of
+    `_split_applied` that lay out, for each pair (i, j), its row of u and
+    row j of w as (kept, rest) matrices: sites i, j first, the rest in
+    increasing order.  A row "rotated by r" holds the sites r..N-1, 0..r-1
+    in that order; u holds the pairs in (j, i) order, rotated by j, and
+    row j of w is rotated by j + 1."""
+    n, size = len(dims), prod(dims)
+
+    def matrix(row: int, r: int, i: int, j: int) -> np.ndarray:
+        order = [*range(r % n, n), *range(r % n)]
+        at = np.arange(row * size, (row + 1) * size).reshape([dims[m] for m in order])
+        at = np.moveaxis(at, range(n), order)
+        return np.moveaxis(at, (i, j), (0, 1)).reshape(dims[i] * dims[j], -1)
+
+    u_row = {p: r for r, p in enumerate(sorted(set(pairs), key=lambda p: p[::-1]))}
+    gathers = (np.stack([matrix(u_row[i, j], j, i, j) for i, j in pairs]),
+               np.stack([matrix(j, j + 1, i, j) for i, j in pairs]))
+    for a in gathers:
+        a.setflags(write=False)
+    return gathers
+
+
+def _split_applied(psi: np.ndarray, baseline, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude stacks (P, D) u and (N, D) w with, for each pair (i, j),
+    R = U W^T, U and W its row of u and row j of w as (kept, rest)
+    matrices (`_pair_gather`): its pair block.
+
+    R = Psi B^T Psi^dag, with Psi the amplitudes as a (kept, rest) matrix
+    and B the baseline factors on the rest, splits at j into U = Psi B_<^T
+    and W = conj(Psi) B_>, B_< holding the rest sites before j and B_> the
+    sites after it.  So one sweep from the left keeps the amplitudes with
+    baseline[m] applied at every site m < j but one skipped site i, one
+    row per i, and takes u from it at each j; one sweep from the right
+    applies conj(baseline[m]^dag) to conj(psi) for w.  That is about
+    N^2 D d / 2 operations for all pairs, against N^3 D d / 2 pair by pair.
+
+    A row rotated by m holds the sites m..N-1, 0..m-1 in that order: each
+    matmul applies one site at either end of a row and moves it to the
+    other end, so no step copies a stack.
+    """
+    n, size = len(baseline), psi.size
+    wanted, firsts = set(pairs), {i for i, _ in pairs}
+    last_i, last = max(firsts), max(j for _, j in pairs)
+    u = np.empty((len(wanted), size), dtype=complex)
+    # rotated by m at site m: ket with baseline[m'] at every m' < m, and
+    # the rows skipping one site a each, in increasing a
+    ket = psi.reshape(1, -1)
+    skips, skipped, taken = ket[:0], [], 0
+    for m, b in enumerate(baseline):
+        rows = [r for r, a in enumerate(skipped) if (a, m) in wanted]
+        u[taken : taken + len(rows)] = skips[rows]
+        taken += len(rows)
+        if m == last:
+            break
+        d, rest = len(b), size // len(b)
+        out = np.empty((len(skipped) + (m in firsts), rest, d), dtype=complex)
+        np.matmul(skips.reshape(len(skips), d, rest).transpose(0, 2, 1), b.T,
+                  out=out[: len(skipped)])
+        if m in firsts:
+            out[-1] = ket.reshape(d, rest).T
+            skipped = skipped + [m]
+        skips = out.reshape(len(out), size)
+        if m < last_i:
+            ket = (ket.reshape(d, rest).T @ b.T).reshape(1, size)
+    w = np.empty((n, size), dtype=complex)
+    w[n - 1] = psi.conj()
+    for m in range(n - 1, min(j for _, j in pairs), -1):
+        # row m is rotated by m + 1, so site m is last; row m - 1 has it first
         b = baseline[m]
-        u_rest = (u_rest[:, None, :, None] * b[None, :, None, :]).reshape(len(u_rest) * len(b), -1)
-    rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + p for p in perm])
-    rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
-    return np.einsum("arbs,sr->ab", rho_p, u_rest)
+        w[m - 1] = (b.T @ w[m].reshape(-1, len(b)).T).reshape(-1)
+    return u, w
+
+
+def pair_reduced(
+    rho: State, i: int, j: int, baseline: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The block of the one pair i < j (0-based sites) of `pair_blocks`."""
+    return pair_blocks(rho, baseline, ((i, j),))[0]

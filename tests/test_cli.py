@@ -401,6 +401,24 @@ class TestFig1:
         assert code == 0
         assert out.startswith("k,p,q_star,margin_residual")
 
+    @pytest.mark.parametrize("probe", ["w", "wtilde"])
+    def test_builds_the_family_once(self, capsys, monkeypatch, probe):
+        import kunent.cli
+        import kunent.states
+        import kunent.thresholds
+
+        builds = []
+
+        def counting(n, d):
+            builds.append((n, d))
+            return w_noise_family(n, d)
+
+        for module in (kunent.states, kunent.thresholds, kunent.cli):
+            monkeypatch.setattr(module, "w_noise_family", counting)
+        code, _, _ = run_cli(capsys, "fig1", "--n", "4", "--d", "3", "--grid", "2",
+                             "--probe", probe)
+        assert code == 0 and builds == [(4, 3)]
+
     @pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "0"], ["--n", "-3", "--grid", "0"]])
     def test_too_few_sites_exit_2(self, capsys, argv):
         # the family's own site-count rule, as `table1` and `eval` report it

@@ -33,6 +33,7 @@ from kunent import (
     ghz_noise_family,
     ghz_probe,
     mix,
+    pair_blocks,
     pair_reduced,
     qubits,
     qudits,
@@ -114,8 +115,8 @@ class TestBundles:
         assert np.isfinite(fm.margin([0.2, 0.1], 1))
 
 
-def assert_close_to_largest(got, want) -> None:
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def assert_close_to_largest(got, want, rel=1e-12) -> None:
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 def _loop_t2_traces(ev: Theorem2Evaluator, rho) -> Theorem2Traces:
@@ -246,6 +247,87 @@ def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarr
     rho_p = np.transpose(rho.mat.reshape(dims * 2), perm + [n + p for p in perm])
     rho_p = rho_p.reshape(kept, u_rest.shape[0], kept, u_rest.shape[0])
     return np.einsum("arbs,sr->ab", rho_p, u_rest)
+
+
+def _per_pair_pure_block(psi: PureState, i: int, j: int, baseline) -> np.ndarray:
+    """The pure pair block one pair at a time, R = Psi Phi^dag with
+    baseline[m]^dag applied to the amplitudes at each rest site m in turn,
+    as `pair_reduced` built it before the blocks shared a sweep."""
+    dims = psi.dims.dims
+    perm = [i, j, *(m for m in range(len(dims)) if m not in (i, j))]
+    amp = phi = psi.amplitudes.reshape(dims)
+    for m in perm[2:]:
+        phi = np.moveaxis(np.tensordot(baseline[m].conj().T, phi, axes=(1, m)), 0, m)
+    kept = dims[i] * dims[j]
+    return (np.transpose(amp, perm).reshape(kept, -1)
+            @ np.transpose(phi, perm).reshape(kept, -1).conj().T)
+
+
+def _per_pair_noise_block(dims: SiteDims, i: int, j: int, baseline) -> np.ndarray:
+    """The white-noise pair block one pair at a time, (1/D) prod tr(baseline[m])
+    over the rest sites in increasing m, times the identity."""
+    value = 1.0 / dims.total_dim
+    for m in range(dims.n):
+        if m not in (i, j):
+            value = value * np.trace(baseline[m])
+    return value * np.eye(dims.dims[i] * dims.dims[j], dtype=complex)
+
+
+PAIR_BLOCK_DIMS = [(d,) * n for d, top in ((2, 8), (3, 7), (4, 6)) for n in range(3, top + 1)]
+
+
+class TestPairBlocks:
+    """All pair blocks at once, in np.triu_indices order, against the
+    per-pair routes they replaced."""
+
+    @staticmethod
+    def _case(dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 4)
+        dims = SiteDims(dims)
+        baseline = [f @ f.conj().T for d in dims.dims for f in random_factors(d, 1, rng)]
+        return dims, baseline, rng
+
+    @pytest.mark.parametrize("dims", PAIR_BLOCK_DIMS)
+    def test_pure_blocks_match_per_pair_route(self, dims):
+        dims, baseline, rng = self._case(dims)
+        for _ in range(2):
+            psi = random_ket(dims, rng)
+            blocks = pair_blocks(psi, baseline)
+            for p, (i, j) in enumerate(zip(*np.triu_indices(dims.n, 1))):
+                assert_close_to_largest(blocks[p], _per_pair_pure_block(psi, i, j, baseline),
+                                        rel=1e-13)
+
+    @pytest.mark.parametrize("dims", PAIR_BLOCK_DIMS)
+    def test_noise_blocks_match_per_pair_route_bit_for_bit(self, dims):
+        dims, baseline, _ = self._case(dims)
+        blocks = pair_blocks(WhiteNoise(dims), baseline)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(dims.n, 1))):
+            assert np.array_equal(blocks[p], _per_pair_noise_block(dims, i, j, baseline))
+
+    @pytest.mark.parametrize("dims", [(2,) * 3, (2,) * 5, (3,) * 4, (4,) * 3])
+    def test_dense_blocks_match_kron_loop_bit_for_bit(self, dims):
+        dims, baseline, rng = self._case(dims)
+        rho = random_mixed_state(dims, rng, rank=4)
+        blocks = pair_blocks(rho, baseline)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(dims.n, 1))):
+            assert np.array_equal(blocks[p], _kron_pair_reduced(rho, i, j, baseline))
+
+    @pytest.mark.parametrize("pairs", [((1, 0),), ((1, 1),), ((0, 4),), ((-1, 2),), ()])
+    def test_pairs_must_be_ordered_sites(self, pairs):
+        dims, baseline, rng = self._case((2,) * 4)
+        for rho in (random_ket(dims, rng), WhiteNoise(dims)):
+            with pytest.raises(ValueError, match="pairs must be sites 0 <= i < j < 4"):
+                pair_blocks(rho, baseline, pairs)
+
+    def test_one_pair_on_unequal_dims(self):
+        # pair_reduced is the one-pair call, which needs no shared d_i * d_j
+        dims, baseline, rng = self._case((2, 3, 4, 2))
+        psi = random_ket(dims, rng)
+        for i, j in [(0, 1), (1, 2), (0, 3), (2, 3)]:
+            assert_close_to_largest(pair_reduced(psi, i, j, baseline),
+                                    _per_pair_pure_block(psi, i, j, baseline), rel=1e-13)
+            assert np.array_equal(pair_reduced(WhiteNoise(dims), i, j, baseline),
+                                  _per_pair_noise_block(dims, i, j, baseline))
 
 
 BITWISE_DIMS = [(2,) * n for n in range(3, 9)] + [(2, 3, 4), (3, 2, 2, 3), (4,) * 4]

@@ -25,7 +25,7 @@ from kunent import (
     w_state,
 )
 from kunent.config import DETECTION_TOL, summation_gamma
-from kunent.criteria import Theorem2K1Evaluator
+from kunent.criteria import Theorem2K1Evaluator, certified
 from kunent.tensor import DensityMatrix, WhiteNoise
 from kunent.thresholds import FamilyMargin, example2_closed_form
 
@@ -516,6 +516,15 @@ class TestCriterionReport:
         for p, q in [(0.1, 0.0), (0.2, 0.3), (0.0, 0.9)]:
             direct = Theorem2Evaluator(x, om).evaluate(fam.evaluate(p, q), 2).margin
             assert fm.margin([p, q], 2) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+class TestCertificateRule:
+    @pytest.mark.parametrize("scale, terms, dim", [(0.0, 1, 2), (1.0, 14, 16), (3e5, 868, 256)])
+    def test_allowance_itself_is_not_a_certificate(self, scale, terms, dim):
+        # the rule is strict: a margin equal to the allowance certifies nothing
+        allowance = DETECTION_TOL + summation_gamma(terms + dim) * scale
+        assert not certified(allowance, scale, terms, dim)
+        assert certified(np.nextafter(allowance, np.inf), scale, terms, dim)
 
 
 class TestCertificateSoundness:

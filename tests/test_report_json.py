@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kunent import cli
-from kunent.cli import _reports_json
+from kunent.cli import _json_floats, _reports_json
 from kunent.criteria import CriterionReport
 
 EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
@@ -50,6 +51,21 @@ def encoded(label, reps) -> str:
 @given(label=texts, reps=st.lists(reports, max_size=4))
 def test_matches_json_dumps(label, reps):
     assert _reports_json(label, reps) == encoded(label, reps)
+
+
+# every NaN payload, either sign: json.dumps writes each as NaN
+nan_payloads = st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+    lambda s: struct.unpack("<d", struct.pack("<Q", s[0] << 63 | 0x7FF << 52 | s[1]))[0])
+any_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS + [-5e-324, 1e-310]),
+                       nan_payloads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(any_floats, max_size=40), repeat=st.integers(1, 3))
+def test_json_floats_match_json_dumps(values, repeat):
+    # each distinct bit pattern is formatted once: -0.0 stays apart from 0.0
+    values = values * repeat
+    assert _json_floats(values) == [json.dumps(v) for v in values]
 
 
 def test_edge_values_and_marker_in_labels():

@@ -154,6 +154,21 @@ class TestProductOperator:
         with pytest.raises(ValueError, match="finite"):
             ProductOperator(qubits(2), (bad, I2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+    def test_nonfinite_entry_named_for_every_container(self, value):
+        factor = I2.copy()
+        factor[1, 0] = value
+        with pytest.raises(ValueError, match=r"^factor for site 2 contains non-finite entries$"):
+            ProductOperator(qubits(2), (I2, factor))
+        amplitudes = np.array([1, 0, 0, value])
+        with pytest.raises(ValueError, match=r"^amplitudes contains non-finite entries$"):
+            PureState(qubits(2), amplitudes)
+        mat = np.eye(4, dtype=complex) / 4
+        mat[2, 3] = value
+        with pytest.raises(ValueError, match=r"^density matrix contains non-finite entries$"):
+            DensityMatrix(qubits(2), mat)
+
     def test_immutable(self):
         op = ProductOperator(qubits(2), (I2, I2))
         with pytest.raises(ValueError):
@@ -208,6 +223,16 @@ class TestStateValidation:
     def test_density_matrix_psd(self):
         mat = np.diag([0.8, 0.7, -0.5, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(qubits(2), mat)
+
+    @pytest.mark.parametrize("lam, rejected", [(2e-10, True), (5e-11, False)])
+    def test_psd_tolerance_is_tight(self, lam, rejected):
+        # eigenvalue -lam, with the trace kept at 1: a looser PSD_TOL accepts -2e-10
+        mat = np.diag([0.5 + lam, 0.5, 0.0, -lam]).astype(complex)
+        if rejected:
+            with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
+                DensityMatrix(qubits(2), mat)
+        else:
             DensityMatrix(qubits(2), mat)
 
     def test_psd_check_skippable_for_mixtures(self):

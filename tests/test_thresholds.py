@@ -189,6 +189,20 @@ class TestThresholdTable:
             assert abs(p_k - published) <= 1e-4
             assert ref == ref_expected
 
+    def test_comparison_column_fits_qfi_relation(self):
+        # an observed fit, not a derivation: the quantum Fisher information
+        # N^2 p^2 / (p + 2 (1 - p) / 2^N) of the N = 8 GHZ noise family for
+        # J_z, set equal to (4/5)((N - k + 1)^2 + k - 1), has the published
+        # value as its root within 1e-4 (the largest gap, 7.9e-5, at k = 6)
+        n = 8
+        white = 2.0 / 2**n
+        for k, published in enumerate(COMPARISON_THRESHOLDS_8QUBIT, 1):
+            bound = 0.8 * ((n - k + 1) ** 2 + k - 1)
+            # n^2 p^2 - bound (1 - white) p - bound white = 0
+            b, c = bound * (1 - white), bound * white
+            root = (b + np.sqrt(b * b + 4 * n * n * c)) / (2 * n * n)
+            assert abs(root - published) <= 1e-4, (k, root, published)
+
     def test_strictly_decreasing(self):
         rows = ghz_threshold_table(8)
         values = [p for _, p, _ in rows]
