@@ -41,7 +41,6 @@ from .tensor import (
     assemble,
     cross_trace,
     pair_blocks,
-    pair_reduced,
     product_trace,
     qubits,
     qudits,

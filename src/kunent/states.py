@@ -21,7 +21,6 @@ from .tensor import (
     PureState,
     SiteDims,
     WhiteNoise,
-    _apply_site,
     qubits,
     qudits,
 )
@@ -76,12 +75,10 @@ def shift_sigma(d: int) -> np.ndarray:
 
 
 def w_tilde(n: int, d: int) -> PureState:
-    """The W state with the cyclic shift applied to every site."""
+    """The W state with the cyclic shift `shift_sigma` applied to every
+    site: level l of each site becomes level l + 1 (mod d)."""
     w = w_state(n, d)
-    sigma = shift_sigma(d)
-    tensor = w.amplitudes.reshape((d,) * n)
-    for site in range(n):
-        tensor = _apply_site(tensor, site, sigma)
+    tensor = np.roll(w.amplitudes.reshape((d,) * n), 1, axis=tuple(range(n)))
     return PureState(w.dims, tensor.reshape(-1))
 
 
@@ -139,17 +136,12 @@ class Mixture:
     def dense(self) -> DensityMatrix:
         """The mixture as a D x D matrix.  Positivity follows from
         convexity, so the PSD eigencheck is skipped."""
-        return _dense_mixture(self.dims, self.weights, [psi.amplitudes for _, psi in self.signals])
-
-
-def _dense_mixture(dims: SiteDims, weights: np.ndarray, amplitudes) -> DensityMatrix:
-    """sum_i w_i |a_i><a_i| + w_noise I/D, weights as `component_weights` gives."""
-    total_dim = dims.total_dim
-    mat = np.eye(total_dim, dtype=complex) * (weights[-1] / total_dim)
-    for w, amp in zip(weights, amplitudes):
-        if w > 0.0:
-            mat += w * np.outer(amp, amp.conj())
-    return DensityMatrix(dims, mat, _check_psd=False)
+        total_dim = self.dims.total_dim
+        mat = np.eye(total_dim, dtype=complex) * (self.weights[-1] / total_dim)
+        for w, (_, psi) in zip(self.weights, self.signals):
+            if w > 0.0:
+                mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return DensityMatrix(self.dims, mat, _check_psd=False)
 
 
 def mix(signals: Sequence[tuple[float, PureState]], dims: SiteDims) -> DensityMatrix:
@@ -253,10 +245,9 @@ def random_k_unentangled(
     dims: SiteDims, k: int, terms: int, seed: int
 ) -> DensityMatrix:
     """Seeded random state containing at least k unentangled particles: the
-    mixture of `random_k_unentangled_terms`, mixed as `Mixture.dense` mixes
-    them, without a `PureState` per term."""
+    mixture of `random_k_unentangled_terms` as a dense matrix."""
     weights, amplitudes = random_k_unentangled_terms(dims, k, terms, np.random.default_rng(seed))
-    return _dense_mixture(dims, component_weights(weights), amplitudes)
+    return Mixture(dims, tuple((w, PureState(dims, a)) for w, a in zip(weights, amplitudes))).dense()
 
 
 def random_product_operator(dims: SiteDims, rng: np.random.Generator) -> ProductOperator:

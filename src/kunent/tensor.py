@@ -19,8 +19,9 @@ expectation needed by the detection criteria on a *single* copy of the
 state, for each of the three representations: the operator side is kept
 in product form and contracted site by site, so neither a two-copy state
 nor the assembled N-site operator is ever built, and a pure state or white
-noise is never expanded to a D x D matrix.  Costs per representation, with
-P = N(N-1)/2 site pairs:
+noise is never expanded to a D x D matrix.  `pair_blocks` takes sites of
+one dimension only and always returns all P = N(N-1)/2 site pairs.  Costs
+per representation:
 
 - dense: O(D^2) time per trace, and per pair block of `pair_blocks`, which
   still contracts (and copies) rho once per pair; `subset_trace_sweep`
@@ -64,7 +65,6 @@ __all__ = [
     "cross_trace",
     "subset_trace_sweep",
     "pair_blocks",
-    "pair_reduced",
 ]
 
 
@@ -251,11 +251,6 @@ def _check_dims(rho: State, *ops: ProductOperator) -> None:
             )
 
 
-def _apply_site(psi: np.ndarray, site: int, g: np.ndarray) -> np.ndarray:
-    """g applied to axis `site` (0-based) of an amplitude tensor."""
-    return np.moveaxis(np.tensordot(g, psi, axes=(1, site)), 0, site)
-
-
 def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
     """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g.
 
@@ -278,7 +273,7 @@ def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
     if isinstance(rho, PureState):
         psi = acc = rho.amplitudes.reshape(dims)
         for site, g in enumerate(gs):
-            acc = _apply_site(acc, site, g)
+            acc = np.moveaxis(np.tensordot(g, acc, axes=(1, site)), 0, site)
         return complex(np.vdot(psi, acc))
     acc = rho.mat
     for d, g in zip(dims, gs):
@@ -378,14 +373,12 @@ def _choice_stack(amplitudes, dims, sites, pairs, dagger: bool) -> np.ndarray:
     return stack
 
 
-def pair_blocks(
-    rho: State, baseline: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]] | None = None
-) -> np.ndarray:
-    """Pair blocks of `rho`: for each pair of 0-based sites i < j (all of
-    them in np.triu_indices order by default), the (d_i*d_j, d_i*d_j)
-    block R with Tr[rho (.. g_i .. g_j ..)] = Tr[R (g_i x g_j)] for any
-    kept-site factors, where every other site m carries ``baseline[m]``.
-    The pairs must share d_i*d_j; the result is (P, d_i*d_j, d_i*d_j).
+def pair_blocks(rho: State, baseline: Sequence[np.ndarray]) -> np.ndarray:
+    """Pair blocks of `rho`, whose sites must share one dimension d: for
+    each pair of 0-based sites i < j, in np.triu_indices order, the
+    (d^2, d^2) block R with Tr[rho (.. g_i .. g_j ..)] = Tr[R (g_i x g_j)]
+    for any kept-site factors, where every other site m carries
+    ``baseline[m]``.  The result is (P, d^2, d^2).
 
     - dense: each pair's rest sites contracted with the baseline factors
       joined into one matrix, and rho copied once per pair;
@@ -396,13 +389,8 @@ def pair_blocks(
     """
     dims = rho.dims.dims
     n = len(dims)
-    if pairs is None:
-        pairs = tuple(combinations(range(n), 2))
-    else:
-        pairs = tuple(map(tuple, pairs))
-        if not pairs or not all(0 <= i < j < n for i, j in pairs):
-            raise ValueError(f"pairs must be sites 0 <= i < j < {n}, got {pairs}")
-    kept = dims[pairs[0][0]] * dims[pairs[0][1]]
+    kept = rho.dims.uniform() ** 2
+    pairs = tuple(combinations(range(n), 2))
     if isinstance(rho, WhiteNoise):
         # scalar products, left to right: numpy's complex array multiply
         # may fuse a multiply-add, its scalar multiply does not
@@ -411,8 +399,8 @@ def pair_blocks(
                         1.0 / rho.dims.total_dim) for pair in pairs]
         return np.array(value)[:, None, None] * np.eye(kept, dtype=complex)
     if isinstance(rho, PureState):
-        u, w = _split_applied(rho.amplitudes, baseline, pairs)
-        u_at, w_at = _pair_gather(dims, pairs)
+        u, w = _split_applied(rho.amplitudes, baseline)
+        u_at, w_at = _pair_gather(dims)
         return u.take(u_at) @ w.take(w_at).transpose(0, 2, 1)
     blocks = np.empty((len(pairs), kept, kept), dtype=complex)
     for p, (i, j) in enumerate(pairs):
@@ -430,32 +418,31 @@ def pair_blocks(
 
 
 @lru_cache(maxsize=16)  # an entry is 2 P D indices, 4.3 MiB at D = 4096, N = 12
-def _pair_gather(dims: tuple[int, ...], pairs: tuple[tuple[int, int], ...]):
+def _pair_gather(dims: tuple[int, ...]):
     """Read-only (P, kept, rest) flat indices into the two stacks of
-    `_split_applied` that lay out, for each pair (i, j), its row of u and
-    row j of w as (kept, rest) matrices: sites i, j first, the rest in
-    increasing order.  A row "rotated by r" holds the sites r..N-1, 0..r-1
-    in that order; u holds the pairs in (j, i) order, rotated by j, and
-    row j of w is rotated by j + 1."""
+    `_split_applied` that lay out, for each pair (i, j) in np.triu_indices
+    order, row j(j-1)/2 + i of u and row j of w as (kept, rest) matrices:
+    sites i, j first, the rest in increasing order.  A row "rotated by r"
+    holds the sites r..N-1, 0..r-1 in that order; row j(j-1)/2 + i of u is
+    rotated by j, and row j of w by j + 1."""
     n, size = len(dims), prod(dims)
 
     def matrix(row: int, r: int, i: int, j: int) -> np.ndarray:
-        order = [*range(r % n, n), *range(r % n)]
-        at = np.arange(row * size, (row + 1) * size).reshape([dims[m] for m in order])
-        at = np.moveaxis(at, range(n), order)
+        at = np.arange(row * size, (row + 1) * size).reshape(dims)  # every site has one d
+        at = np.moveaxis(at, range(n), [*range(r % n, n), *range(r % n)])
         return np.moveaxis(at, (i, j), (0, 1)).reshape(dims[i] * dims[j], -1)
 
-    u_row = {p: r for r, p in enumerate(sorted(set(pairs), key=lambda p: p[::-1]))}
-    gathers = (np.stack([matrix(u_row[i, j], j, i, j) for i, j in pairs]),
+    pairs = tuple(combinations(range(n), 2))
+    gathers = (np.stack([matrix(j * (j - 1) // 2 + i, j, i, j) for i, j in pairs]),
                np.stack([matrix(j, j + 1, i, j) for i, j in pairs]))
     for a in gathers:
         a.setflags(write=False)
     return gathers
 
 
-def _split_applied(psi: np.ndarray, baseline, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _split_applied(psi: np.ndarray, baseline) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude stacks (P, D) u and (N, D) w with, for each pair (i, j),
-    R = U W^T, U and W its row of u and row j of w as (kept, rest)
+    R = U W^T, U and W row j(j-1)/2 + i of u and row j of w as (kept, rest)
     matrices (`_pair_gather`): its pair block.
 
     R = Psi B^T Psi^dag, with Psi the amplitudes as a (kept, rest) matrix
@@ -472,40 +459,26 @@ def _split_applied(psi: np.ndarray, baseline, pairs) -> tuple[np.ndarray, np.nda
     other end, so no step copies a stack.
     """
     n, size = len(baseline), psi.size
-    wanted, firsts = set(pairs), {i for i, _ in pairs}
-    last_i, last = max(firsts), max(j for _, j in pairs)
-    u = np.empty((len(wanted), size), dtype=complex)
+    u = np.empty((n * (n - 1) // 2, size), dtype=complex)
     # rotated by m at site m: ket with baseline[m'] at every m' < m, and
-    # the rows skipping one site a each, in increasing a
+    # the m rows skipping one site a < m each, in increasing a
     ket = psi.reshape(1, -1)
-    skips, skipped, taken = ket[:0], [], 0
+    skips = ket[:0]
     for m, b in enumerate(baseline):
-        rows = [r for r, a in enumerate(skipped) if (a, m) in wanted]
-        u[taken : taken + len(rows)] = skips[rows]
-        taken += len(rows)
-        if m == last:
+        u[m * (m - 1) // 2 : m * (m + 1) // 2] = skips
+        if m == n - 1:
             break
         d, rest = len(b), size // len(b)
-        out = np.empty((len(skipped) + (m in firsts), rest, d), dtype=complex)
-        np.matmul(skips.reshape(len(skips), d, rest).transpose(0, 2, 1), b.T,
-                  out=out[: len(skipped)])
-        if m in firsts:
-            out[-1] = ket.reshape(d, rest).T
-            skipped = skipped + [m]
-        skips = out.reshape(len(out), size)
-        if m < last_i:
+        out = np.empty((m + 1, rest, d), dtype=complex)
+        np.matmul(skips.reshape(m, d, rest).transpose(0, 2, 1), b.T, out=out[:m])
+        out[m] = ket.reshape(d, rest).T
+        skips = out.reshape(m + 1, size)
+        if m < n - 2:
             ket = (ket.reshape(d, rest).T @ b.T).reshape(1, size)
     w = np.empty((n, size), dtype=complex)
     w[n - 1] = psi.conj()
-    for m in range(n - 1, min(j for _, j in pairs), -1):
+    for m in range(n - 1, 1, -1):
         # row m is rotated by m + 1, so site m is last; row m - 1 has it first
         b = baseline[m]
         w[m - 1] = (b.T @ w[m].reshape(-1, len(b)).T).reshape(-1)
     return u, w
-
-
-def pair_reduced(
-    rho: State, i: int, j: int, baseline: Sequence[np.ndarray]
-) -> np.ndarray:
-    """The block of the one pair i < j (0-based sites) of `pair_blocks`."""
-    return pair_blocks(rho, baseline, ((i, j),))[0]

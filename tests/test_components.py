@@ -34,7 +34,6 @@ from kunent import (
     ghz_probe,
     mix,
     pair_blocks,
-    pair_reduced,
     qubits,
     qudits,
     random_k_unentangled,
@@ -121,12 +120,13 @@ def assert_close_to_largest(got, want, rel=1e-12) -> None:
 
 def _loop_t2_traces(ev: Theorem2Evaluator, rho) -> Theorem2Traces:
     """The Theorem-2 bundle filled one (i, j, s, t) value at a time, with
-    one np.kron per value: the loop the batched einsums replaced."""
+    one np.kron per value: the loop the batched einsums replaced.  Its pair
+    blocks come from the per-pair reference routes, not from `pair_blocks`."""
     n, d, big_t = ev.dims.n, ev.d, len(ev.omegas)
     xs = ev.x.factors
     baseline = [f @ f.conj().T for f in xs]
     omega_proj = [w @ w.conj().T for w in ev.omegas]
-    reduced = {(i, j): pair_reduced(rho, i, j, baseline)
+    reduced = {(i, j): _per_pair_block(rho, i, j, baseline)
                for i in range(n) for j in range(i + 1, n)}
 
     def val(i, j, g_i, g_j):
@@ -235,7 +235,7 @@ def _recursive_dense_sweep(rho: DensityMatrix, pairs) -> np.ndarray:
 
 def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarray:
     """The dense pair block with the rest-site baselines joined by np.kron,
-    as `pair_reduced` built it before."""
+    as the per-pair dense route built it before."""
     dims = rho.dims.dims
     n = len(dims)
     rest = [m for m in range(n) if m not in (i, j)]
@@ -252,7 +252,7 @@ def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarr
 def _per_pair_pure_block(psi: PureState, i: int, j: int, baseline) -> np.ndarray:
     """The pure pair block one pair at a time, R = Psi Phi^dag with
     baseline[m]^dag applied to the amplitudes at each rest site m in turn,
-    as `pair_reduced` built it before the blocks shared a sweep."""
+    as the per-pair route built it before the blocks shared a sweep."""
     dims = psi.dims.dims
     perm = [i, j, *(m for m in range(len(dims)) if m not in (i, j))]
     amp = phi = psi.amplitudes.reshape(dims)
@@ -271,6 +271,16 @@ def _per_pair_noise_block(dims: SiteDims, i: int, j: int, baseline) -> np.ndarra
         if m not in (i, j):
             value = value * np.trace(baseline[m])
     return value * np.eye(dims.dims[i] * dims.dims[j], dtype=complex)
+
+
+def _per_pair_block(rho, i: int, j: int, baseline) -> np.ndarray:
+    """The block of the one pair (i, j) from the per-pair reference route
+    of rho's representation."""
+    if isinstance(rho, PureState):
+        return _per_pair_pure_block(rho, i, j, baseline)
+    if isinstance(rho, WhiteNoise):
+        return _per_pair_noise_block(rho.dims, i, j, baseline)
+    return _kron_pair_reduced(rho, i, j, baseline)
 
 
 PAIR_BLOCK_DIMS = [(d,) * n for d, top in ((2, 8), (3, 7), (4, 6)) for n in range(3, top + 1)]
@@ -312,22 +322,12 @@ class TestPairBlocks:
         for p, (i, j) in enumerate(zip(*np.triu_indices(dims.n, 1))):
             assert np.array_equal(blocks[p], _kron_pair_reduced(rho, i, j, baseline))
 
-    @pytest.mark.parametrize("pairs", [((1, 0),), ((1, 1),), ((0, 4),), ((-1, 2),), ()])
-    def test_pairs_must_be_ordered_sites(self, pairs):
-        dims, baseline, rng = self._case((2,) * 4)
-        for rho in (random_ket(dims, rng), WhiteNoise(dims)):
-            with pytest.raises(ValueError, match="pairs must be sites 0 <= i < j < 4"):
-                pair_blocks(rho, baseline, pairs)
-
-    def test_one_pair_on_unequal_dims(self):
-        # pair_reduced is the one-pair call, which needs no shared d_i * d_j
-        dims, baseline, rng = self._case((2, 3, 4, 2))
+    def test_unequal_dims_rejected(self):
+        dims, baseline, rng = self._case((2, 3, 4))
         psi = random_ket(dims, rng)
-        for i, j in [(0, 1), (1, 2), (0, 3), (2, 3)]:
-            assert_close_to_largest(pair_reduced(psi, i, j, baseline),
-                                    _per_pair_pure_block(psi, i, j, baseline), rel=1e-13)
-            assert np.array_equal(pair_reduced(WhiteNoise(dims), i, j, baseline),
-                                  _per_pair_noise_block(dims, i, j, baseline))
+        for rho in (psi, psi.to_density_matrix(), WhiteNoise(dims)):
+            with pytest.raises(ValueError, match="sites have unequal dimensions"):
+                pair_blocks(rho, baseline)
 
 
 BITWISE_DIMS = [(2,) * n for n in range(3, 9)] + [(2, 3, 4), (3, 2, 2, 3), (4,) * 4]
@@ -366,10 +366,13 @@ class TestDenseKernelsBitForBit:
         dims = SiteDims(dims)
         rho = random_mixed_state(dims, rng, rank=4)
         baseline = [f @ f.conj().T for d in dims.dims for f in random_factors(d, 1, rng)]
-        for i in range(dims.n):
-            for j in range(i + 1, dims.n):
-                assert np.array_equal(pair_reduced(rho, i, j, baseline),
-                                      _kron_pair_reduced(rho, i, j, baseline))
+        if len(set(dims.dims)) > 1:  # pair blocks are defined for sites of one dimension
+            with pytest.raises(ValueError, match="sites have unequal dimensions"):
+                pair_blocks(rho, baseline)
+            return
+        blocks = pair_blocks(rho, baseline)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(dims.n, 1))):
+            assert np.array_equal(blocks[p], _kron_pair_reduced(rho, i, j, baseline))
 
     @pytest.mark.parametrize("dims, k, terms, seed, digest", STATE_DIGESTS)
     def test_random_k_unentangled_bits_pinned(self, dims, k, terms, seed, digest):

@@ -25,7 +25,7 @@ from kunent import (
     w_state,
 )
 from kunent.config import DETECTION_TOL, summation_gamma
-from kunent.criteria import Theorem2K1Evaluator, certified
+from kunent.criteria import Theorem2K1Evaluator, Theorem2Traces, certified
 from kunent.tensor import DensityMatrix, WhiteNoise
 from kunent.thresholds import FamilyMargin, example2_closed_form
 
@@ -525,6 +525,18 @@ class TestCertificateRule:
         allowance = DETECTION_TOL + summation_gamma(terms + dim) * scale
         assert not certified(allowance, scale, terms, dim)
         assert certified(np.nextafter(allowance, np.inf), scale, terms, dim)
+
+    def test_t2_k1_positive_margin_below_allowance_is_not_a_certificate(self):
+        # every tuple margin is |cross|^2 - base * pair = 1 - (1 - 2^-50) = 2^-50:
+        # positive, so a bare `margin > 0` would certify, but far below the allowance
+        n = 3
+        cross = np.broadcast_to(1.0 - np.eye(n), (1, 1, n, n)).astype(complex)
+        pair = np.full((1, 1, n, n), 1.0 - 2.0**-50)
+        traces = Theorem2Traces(n, 1, cross, pair, np.zeros((1, n)), 1.0)
+        ev = Theorem2K1Evaluator(ProductOperator.identity(qubits(n)), [I2])
+        report = ev.report(traces, 1)
+        assert report.margin == 2.0**-50
+        assert not report.detected
 
 
 class TestCertificateSoundness:

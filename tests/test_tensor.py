@@ -20,7 +20,7 @@ from kunent import (
     qubits,
     qudits,
     WhiteNoise,
-    pair_reduced,
+    pair_blocks,
     sandwich_trace,
     subset_trace_sweep,
 )
@@ -366,16 +366,16 @@ class TestComponentKernels:
 
     DIMS = SiteDims((2, 3, 4))
 
-    def _states(self, rng):
-        d = self.DIMS.total_dim
+    def _states(self, rng, dims=DIMS):
+        d = dims.total_dim
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi = PureState(self.DIMS, z / np.linalg.norm(z))
-        noise = DensityMatrix(self.DIMS, np.eye(d, dtype=complex) / d, _check_psd=False)
-        return [(psi, psi.to_density_matrix()), (WhiteNoise(self.DIMS), noise)]
+        psi = PureState(dims, z / np.linalg.norm(z))
+        noise = DensityMatrix(dims, np.eye(d, dtype=complex) / d, _check_psd=False)
+        return [(psi, psi.to_density_matrix()), (WhiteNoise(dims), noise)]
 
-    def _factors(self, rng):
+    def _factors(self, rng, dims=DIMS):
         return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                for d in self.DIMS.dims]
+                for d in dims.dims]
 
     def test_product_trace_and_sweep(self, rng):
         for state, dense in self._states(rng):
@@ -393,8 +393,11 @@ class TestComponentKernels:
 
     @pytest.mark.parametrize("i,j", [(0, 1), (0, 2), (1, 2)])
     def test_pair_reduced(self, rng, i, j):
-        for state, dense in self._states(rng):
-            baseline = self._factors(rng)
-            assert_allclose(pair_reduced(state, i, j, baseline),
-                            pair_reduced(dense, i, j, baseline), rtol=1e-12, atol=1e-12)
+        # pair blocks need sites of one dimension; block p is pair (i, j)
+        # in np.triu_indices order
+        dims, p = qudits(3, 3), [(0, 1), (0, 2), (1, 2)].index((i, j))
+        for state, dense in self._states(rng, dims):
+            baseline = self._factors(rng, dims)
+            assert_allclose(pair_blocks(state, baseline)[p],
+                            pair_blocks(dense, baseline)[p], rtol=1e-12, atol=1e-12)
 
