@@ -293,6 +293,10 @@ class _Criterion:
     theorem: str
     dims: SiteDims
     degenerate: bool
+    #: Whether the margin is convex along a line of mixing weights, as it
+    #: is for the summed criteria; threshold scans narrow their bisection
+    #: by it (`thresholds._bisect_margin`).
+    convex = True
 
     def traces(self, rho: State | Mixture):
         """Bundle of a dense, pure or white-noise state (`tensor.State`), or
@@ -469,6 +473,7 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
     the largest tuple margin; see the module docstring caveat."""
 
     theorem = "T2_k1"
+    convex = False  # |cross|^2 minus a product of affine traces, maximised over tuples
 
     def ks(self) -> list[int]:
         return [1]

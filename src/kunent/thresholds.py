@@ -14,8 +14,12 @@ batched bisection (`_slice_thresholds`) over all k of a scan at once.
 The margin of the summed criteria (T1, and T2 for every k) is *convex*
 in the scanned weight, not affine: |affine| terms minus square roots of
 products of nonnegative affine terms.  So on a slice where the margin is
-not positive at the low end it crosses zero at most once; see
-`_bisect_margin` for what is and is not checked.
+not positive at the low end it crosses zero at most once, and a few chord
+steps bracket that zero between two evaluated points; the bisection then
+evaluates only its midpoints inside the bracket, because convexity fixes
+the sign of every other one.  The roots and residuals are those of
+evaluating every midpoint; see `_bisect_margin` for the argument and for
+what is and is not checked.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .criteria import (
     w_tilde_probe,
 )
 from .states import NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
-from .tensor import WhiteNoise
+from .tensor import WhiteNoise, qudits
 
 __all__ = [
     "ThresholdResult",
@@ -153,7 +157,53 @@ class FamilyMargin:
         return float(self.margins(params, k).margin)
 
 
-def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chord_bracket(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                   chord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluated points s < t around the zero of each `chord` row's convex
+    margin, f(s) <= 0 < f(t), narrowed until t - s <= `_TOL`; the other
+    rows keep [lo, hi].  A `chord` row has f(lo) <= 0 < f(hi).
+
+    Each step evaluates two points of every open row in one `f` call
+    (the regula-falsi and secant steps of Brent's root finder): u, the zero
+    of the chord through (s, f(s)) and (t, f(t)), which lies on or below
+    the root because a convex f lies under its chords; and v, the zero of
+    the line through the two nearest evaluated points on one side of the
+    root, which lies on or above it because f lies over such a line outside
+    the two points.  A point where f <= 0 becomes s, one where f > 0
+    becomes t.  u is kept `_TOL`/4 or more inside the bracket, and v as far
+    above u and below t (just above u while no side has two points yet),
+    so each step moves s or t by at least `_TOL`/4.  A row whose two signs
+    contradict convexity (f(u) > 0 >= f(v)) gets [lo, hi] back.
+    """
+    step = _TOL / 4
+    s, t, fs, ft = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    # the second-nearest evaluated point on each side, NaN while there is none
+    s2, t2, fs2, ft2 = (np.full_like(lo, np.nan) for _ in range(4))
+    for _ in range(_MAX_ITER):
+        i = np.flatnonzero(chord & (t - s > _TOL))
+        if not i.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = s[i] - fs[i] * (t[i] - s[i]) / (ft[i] - fs[i])
+            v = np.fmin(
+                np.where(fs[i] > fs2[i], s[i] - fs[i] * (s[i] - s2[i]) / (fs[i] - fs2[i]), np.nan),
+                np.where(ft2[i] > ft[i], t[i] - ft[i] * (t2[i] - t[i]) / (ft2[i] - ft[i]), np.nan))
+        u = np.clip(u, s[i] + step, t[i] - 2 * step)
+        v = np.where(np.isnan(v), u + step, np.clip(v, u + step, t[i] - step))
+        m = f(np.concatenate((u, v)), np.concatenate((i, i))).margin
+        fu, fv = m[:i.size], m[i.size:]
+        low_u, low_v = fu <= 0.0, fv <= 0.0
+        s[i], fs[i], s2[i], fs2[i] = np.where(low_v, (v, fv, u, fu), np.where(
+            low_u, (u, fu, s[i], fs[i]), (s[i], fs[i], s2[i], fs2[i])))
+        t[i], ft[i], t2[i], ft2[i] = np.where(~low_u, (u, fu, v, fv), np.where(
+            ~low_v, (v, fv, t[i], ft[i]), (t[i], ft[i], t2[i], ft2[i])))
+        bad = i[~low_u & low_v]
+        s[bad], t[bad], chord[bad] = lo[bad], hi[bad], False
+    return s, t
+
+
+def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray,
+                   convex: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Root of each row of a batch of margin functions on [lo, hi].
 
     ``f(t, rows)`` maps one scanned weight for each row indexed by `rows`
@@ -176,11 +226,28 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     allowance there would move every root by an amount set by the
     allowance, not by the criterion.
 
-    A single crossing is assumed, not checked.  The summed criteria have
-    convex margins, so a slice whose margin is at most 0 at lo and positive
-    at hi crosses zero exactly once.  A margin certified at lo is reported
-    as detected on the whole slice, although a convex margin positive at
-    both ends can still dip below zero between them.
+    Two stages.  With `convex` (the evaluator's `convex` attribute, which
+    `_slice_thresholds` passes: true for T1 and summed T2), a row to bisect
+    whose f(lo) <= 0 first gets a bracket of evaluated points s < t,
+    f(s) <= 0 < f(t), narrowed to at most `_TOL` by a few batched chord
+    steps (`_chord_bracket`).  The halving then runs as before, except that
+    it asks `f` only about midpoints strictly inside (s, t).  By convexity
+    a midpoint at or below s has f <= max(f(lo), f(s)) <= 0, so it raises
+    the low end, and one at or above t has f >= f(t) > 0, because f rises
+    past t when f(lo) <= 0 < f(t), so it lowers the high end.  Every
+    midpoint, root and residual is therefore plain bisection's.  A skipped
+    sign could differ from an evaluated one only where rounding bends the
+    computed margin off convexity: at a midpoint within rounding distance
+    of the zero, where plain bisection's own sign is rounding noise.  Rows
+    of a margin that is not convex (the per-tuple k = 1 variant) and rows
+    with f(lo) > 0 that is not certified skip the chord stage: their
+    bracket stays [lo, hi], and every midpoint is evaluated.
+
+    Without `convex` a single crossing is assumed, not checked; a convex
+    margin at most 0 at lo and positive at hi crosses zero exactly once.
+    A margin certified at lo is reported as detected on the whole slice,
+    although a convex margin positive at both ends can still dip below
+    zero between them.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     every = np.arange(a.size)
@@ -189,12 +256,17 @@ def _bisect_margin(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     bisect = at_hi.detected & ~at_lo.detected
     root = np.where(at_hi.detected, a, np.nan)
     residual = np.where(at_hi.detected, at_lo.margin, at_hi.margin)
+    s, t = _chord_bracket(f, a, b, at_lo.margin, at_hi.margin,
+                          bisect & (at_lo.margin <= 0.0) & convex)
     for _ in range(_MAX_ITER):
         live = np.flatnonzero(bisect & (b - a > _TOL))
         if not live.size:
             break
         mid = 0.5 * (a[live] + b[live])
-        up = f(mid, live).margin > 0.0
+        up = mid >= t[live]
+        ask = np.flatnonzero((s[live] < mid) & ~up)
+        if ask.size:
+            up[ask] = f(mid[ask], live[ask]).margin > 0.0
         b[live[up]] = mid[up]
         a[live[~up]] = mid[~up]
     rows = np.flatnonzero(bisect)
@@ -224,7 +296,8 @@ def _slice_thresholds(fm: FamilyMargin, k, fixed: np.ndarray,
         at[:, axis] = t
         return fm.margins(at, k[rows])
 
-    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi))
+    root, residual = _bisect_margin(f, np.zeros_like(hi), np.where(empty, 0.0, hi),
+                                    convex=fm.evaluator.convex)
     return np.where(empty, np.nan, root), np.where(empty, np.nan, residual)
 
 
@@ -252,13 +325,18 @@ def bisection_threshold(
     n_params = len(family.signals)
     if len(fixed) != n_params - 1:
         raise ValueError(f"need {n_params - 1} fixed weights, got {len(fixed)}")
-    if not 0 <= axis < n_params:
-        raise ValueError(f"axis must be in 0..{n_params - 1}, got {axis}")
+    if not _is_int(axis) or not 0 <= axis < n_params:
+        raise ValueError(f"axis must be an integer in 0..{n_params - 1}, got {axis!r}")
     component_weights(fixed)  # finite, nonnegative, summing to at most 1
     rows = np.asarray(fixed, dtype=float).reshape(1, -1)
     (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis)
     p_star = None if np.isnan(root) else float(root)
     return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
+
+
+def _is_int(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def ghz_noise_closed_form(n: int, k: int) -> float:
@@ -319,15 +397,17 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
     crossing, and the empty slice at gridline 1, are recorded with
     ``star=None``.
     """
-    family = w_noise_family(n, d)
+    qudits(n, d)  # the family's rules on n and d come first
     if probe not in _SCAN_PROBES:
         raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    if not _is_int(grid) or grid < 1:
+        raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
+    ks = np.atleast_1d(k)
+    _check_k(n, ks)
+    family = w_noise_family(n, d)
     make_probe, axis = _SCAN_PROBES[probe]
     fm = FamilyMargin(family, Theorem2Evaluator(*make_probe(family.dims)))
     # one bisection of every k's gridlines, one k per row, k-major
-    ks = np.atleast_1d(k)
     g = np.tile(np.arange(grid + 1) / grid, ks.size)
     ks = np.repeat(ks, grid + 1)
     roots, residuals = _slice_thresholds(fm, ks, g[:, None], axis)

@@ -45,7 +45,7 @@ from kunent import (
     w_tilde_probe,
 )
 from kunent.criteria import Theorem1Traces, Theorem2Traces
-from kunent.thresholds import FamilyMargin, _bisect_margin, pq_boundary_scan
+from kunent.thresholds import FamilyMargin, _bisect_margin, _slice_thresholds, pq_boundary_scan
 
 from conftest import random_mixed_state, random_product_operator
 
@@ -499,18 +499,16 @@ class TestBatchedMargins:
         assert len(fm._columns[0].cross) == len(by_value) < len(by_bits) < stacked.shape[1]
 
 
-def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
-    """One gridline at a time: the loop the batched bisection replaces."""
-    def f(t):
-        return fm.report(params_at(t), k)
-
+def _plain_bisect(f, lo, hi, tol=1e-8, max_iter=60):
+    """Plain bisection of one row, every midpoint evaluated: `f(t)` gives
+    anything with a `margin` and a `detected`."""
     at_hi = f(hi)
     if not at_hi.detected:
         return None, at_hi.margin
-    at_lo = f(0.0)
+    at_lo = f(lo)
     if at_lo.detected:
-        return 0.0, at_lo.margin
-    a, b = 0.0, hi
+        return lo, at_lo.margin
+    a, b = lo, hi
     for _ in range(max_iter):
         if b - a <= tol:
             break
@@ -521,6 +519,57 @@ def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
             a = mid
     root = 0.5 * (a + b)
     return root, f(root).margin
+
+
+def _scalar_bisect(fm: FamilyMargin, params_at, k, hi, tol=1e-8, max_iter=60):
+    """One gridline at a time: the loop the batched bisection replaces."""
+    return _plain_bisect(lambda t: fm.report(params_at(t), k), 0.0, hi, tol, max_iter)
+
+
+def _near(op: ProductOperator, eps: float, rng: np.random.Generator) -> ProductOperator:
+    """`op` with complex Gaussian noise of scale `eps` added to every factor."""
+    return ProductOperator(op.dims, tuple(f + eps * random_factors(f.shape[0], 1, rng)[0]
+                                          for f in op.factors))
+
+
+def _scaled(op: ProductOperator, scale: float) -> ProductOperator:
+    """`op` times `scale`, spread over its factors as the N-th root each."""
+    return ProductOperator(op.dims, tuple(scale ** (1 / op.dims.n) * f for f in op.factors))
+
+
+def bisection_cases():
+    """(label, FamilyMargin, fixed weights of each slice) of the slices whose
+    batched roots must be plain bisection's: random probes near the presets,
+    where most slices cross, scaled presets and the per-tuple variant."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (3, 4, 5):
+        fam = ghz_noise_family(n)
+        for trial in range(2):
+            x, y = ghz_probe(fam.dims)
+            ev = Theorem1Evaluator(_near(x, 0.2, rng), _near(y, 0.2, rng))
+            cases.append((f"ghz{n}-T1-random{trial}", FamilyMargin(fam, ev), [()]))
+    for n, d in ((3, 2), (4, 3), (5, 2)):
+        fam = w_noise_family(n, d)
+        for trial in range(2):
+            x, (omega, *_) = w_probe(fam.dims)
+            omegas = [omega + 0.2 * f for f in random_factors(d, 2, rng)]
+            ev = Theorem2Evaluator(_near(x, 0.05, rng), omegas)
+            cases.append((f"w{n}{d}-T2-random{trial}", FamilyMargin(fam, ev), [(0.0,), (0.2,)]))
+    for scale in (0.003, 0.1, 7.0, 1e3):
+        fam = ghz_noise_family(6)
+        x, y = ghz_probe(fam.dims)
+        cases.append((f"ghz6-T1-scale{scale}",
+                      FamilyMargin(fam, Theorem1Evaluator(_scaled(x, scale), y)), [()]))
+        fam = w_noise_family(4, 3)
+        x, omegas = w_probe(fam.dims)
+        ev = Theorem2Evaluator(_scaled(x, scale), [scale ** (1 / fam.dims.n) * o for o in omegas])
+        cases.append((f"w43-T2-scale{scale}", FamilyMargin(fam, ev), [(0.0,), (0.1,), (0.3,)]))
+    for n, d in ((4, 2), (5, 4)):
+        fam = w_noise_family(n, d)
+        cases.append((f"w{n}{d}-T2_k1", FamilyMargin(fam, Theorem2K1Evaluator(*w_probe(fam.dims))),
+                      [(0.0,), (0.1,), (0.25,)]))
+    return cases
 
 
 class TestBatchedBisection:
@@ -549,6 +598,41 @@ class TestBatchedBisection:
         root, residual = _bisect_margin(f, np.zeros(2), np.ones(2))
         assert np.isnan(root[0]) and residual[0] == -1.0
         assert root[1] == 0.0 and residual[1] == 1.0
+
+    @pytest.mark.parametrize("label,fm,slices", bisection_cases(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_batched_roots_match_plain_bisection(self, label, fm, slices):
+        # every k of every slice in one batch, the way table1 and fig1
+        # bisect: each root and residual must be plain bisection's, bit for bit
+        ks = fm.evaluator.ks()
+        fixed = np.array([g for g in slices for _ in ks], dtype=float)
+        row_ks = np.tile(ks, len(slices))
+        roots, residuals = _slice_thresholds(fm, row_ks, fixed, 0)
+        crossed = 0
+        for g, k, root, residual in zip(fixed.tolist(), row_ks.tolist(), roots, residuals):
+            star, want = _scalar_bisect(fm, lambda t: [t, *g], k, 1.0 - sum(g))
+            assert (None if np.isnan(root) else root) == star and residual == want, (g, k)
+            crossed += star not in (None, 0.0)
+        assert crossed >= len(row_ks) // 2, "too few slices cross to test the bisection"
+
+    def test_positive_but_uncertified_low_end_evaluates_every_midpoint(self):
+        # row 0: convex, positive but not certified at lo, crossing zero
+        # twice (at 0.242 and 0.558); row 1: convex, crossing once.  Both
+        # roots must be plain bisection's, the first one included
+        from kunent.criteria import Margins
+
+        def curve(t, rows):
+            return np.where(rows == 0, 4.0 * (t - 0.4) ** 2 - 0.1, t * t + t - 0.5)
+
+        def f(t, rows):
+            margin = curve(t, rows)
+            return Margins(margin, margin, margin, margin > 0.6)
+
+        root, residual = _bisect_margin(f, np.zeros(2), np.ones(2), convex=True)
+        for row in range(2):
+            want = _plain_bisect(lambda t: f(np.array([t]), np.array([row])), 0.0, 1.0)
+            assert (root[row], residual[row]) == (want[0], want[1][0])
+        assert 0.5 < root[0] < 0.6
 
 
 def _loop_t1(tr, k):

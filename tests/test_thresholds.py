@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,13 @@ class TestBisection:
         ev = Theorem2Evaluator(*w_probe(fam.dims))
         with pytest.raises(ValueError, match="fixed"):
             bisection_threshold(fam, ev, 1)
+
+    @pytest.mark.parametrize("axis", [1.0, True, False, 2, -1])
+    def test_axis_must_be_an_integer_in_range(self, axis):
+        fam = w_noise_family(3, 2)
+        ev = Theorem2Evaluator(*w_probe(fam.dims))
+        with pytest.raises(ValueError, match=re.escape(f"axis must be an integer in 0..1, got {axis!r}")):
+            bisection_threshold(fam, ev, 1, fixed=(0.1,), axis=axis)
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.1])
     def test_invalid_fixed_weight_raises(self, weight):
@@ -289,6 +298,21 @@ class TestBoundaryScan:
             assert (got.k, got.gridline, got.star) == (want.k, want.gridline, want.star)
             assert np.array_equal(got.residual, want.residual, equal_nan=True)
 
+    @pytest.mark.parametrize("grid", [2.5, True, 0, np.float64(3.0)])
+    def test_grid_must_be_a_positive_integer(self, grid, monkeypatch):
+        # checked before the family is built
+        import kunent.thresholds as th
+
+        monkeypatch.setattr(th, "w_noise_family", None)
+        with pytest.raises(ValueError, match=re.escape(f"grid must be an integer >= 1, got {grid!r}")):
+            pq_boundary_scan(4, 2, 1, grid)
+
+    @pytest.mark.parametrize("k,message", [([1, 1.5], r"integer, got array\(\[1. , 1.5\]\)"),
+                                           ([1, 4], "1 <= k <= 3, got 4")])
+    def test_k_checked_as_given(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            pq_boundary_scan(4, 2, k, 2)
+
     def test_gridline_one_has_no_crossing(self):
         rows = pq_boundary_scan(4, 3, 1, grid=2)
         assert rows[-1].gridline == 1.0
@@ -340,3 +364,39 @@ class TestScanWork:
             assert len(builds) == 1
             # every k's gridlines bisected in one batch, as table1 bisects its k
             assert len(margins) <= 32
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """[calls, rows] of `FamilyMargin.margins`, counted as they happen."""
+        counts = [0, 0]
+        original = FamilyMargin.margins
+
+        def counted(self, params, k):
+            counts[0] += 1
+            counts[1] += len(params)
+            return original(self, params, k)
+
+        monkeypatch.setattr(FamilyMargin, "margins", counted)
+        return counts
+
+    @pytest.mark.parametrize("argv,calls,rows", [
+        # plain bisection, every midpoint evaluated: 30 calls of 22,948 rows
+        (["fig1"], 13, 4926),
+        (["fig1", "--probe", "wtilde"], 13, 4926),
+        # plain bisection: 30 calls of 210 rows
+        (["table1"], 7, 46),
+    ])
+    def test_convex_scans_evaluate_only_inside_the_chord_bracket(self, monkeypatch, capsys,
+                                                                 argv, calls, rows):
+        counts = self.count_rows(monkeypatch)
+        assert main(argv) == 0
+        assert counts == [calls, rows]
+
+    def test_per_tuple_variant_evaluates_every_midpoint(self, monkeypatch):
+        # its margin is not convex: two ends, 27 halvings of [0, 1], the root
+        from kunent.criteria import Theorem2K1Evaluator
+
+        fam = w_noise_family(5, 4)
+        counts = self.count_rows(monkeypatch)
+        bisection_threshold(fam, Theorem2K1Evaluator(*w_probe(fam.dims)), 1, fixed=(0.0,))
+        assert counts == [30, 30]
