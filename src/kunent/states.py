@@ -21,6 +21,7 @@ from .tensor import (
     PureState,
     SiteDims,
     WhiteNoise,
+    _is_int,
     qubits,
     qudits,
 )
@@ -200,7 +201,7 @@ def _check_k(n: int, k) -> None:
     or an integer array of them (the first bad one is named)."""
     if isinstance(k, np.ndarray) and k.dtype.kind in "iu":
         k = next(iter(k[(k < 1) | (k > n - 1)]), 1)
-    if not isinstance(k, (int, np.integer)):
+    if not _is_int(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")

@@ -13,28 +13,29 @@ Conventions
 - All container types are immutable after construction; the wrapped numpy
   arrays are defensive copies marked read-only.
 
-The trace kernels at the bottom (`sandwich_trace`, `cross_trace`,
-`product_trace`, `subset_trace_sweep`, `pair_blocks`) evaluate every
-expectation needed by the detection criteria on a *single* copy of the
-state, for each of the three representations: the operator side is kept
-in product form and contracted site by site, so neither a two-copy state
-nor the assembled N-site operator is ever built, and a pure state or white
-noise is never expanded to a D x D matrix.  `pair_blocks` takes sites of
-one dimension only and always returns all P = N(N-1)/2 site pairs.  Costs
-per representation:
+The trace kernels at the bottom evaluate every expectation needed by the
+detection criteria on a *single* copy of the state, for each of the three
+representations: the operator side is kept in product form and contracted
+site by site, so neither a two-copy state nor the assembled N-site operator
+is ever built, and a pure state or white noise is never expanded to a D x D
+matrix.  Two kernels do the contracting: `subset_trace_sweep` gives every
+closed trace (`product_trace`, and through it `sandwich_trace` and
+`cross_trace`, are its case of one choice per site), and `pair_blocks` the
+two-site blocks.  `pair_blocks` takes sites of one dimension only and always
+returns all P = N(N-1)/2 site pairs.  Costs per representation:
 
 - dense: O(D^2) time per trace, and per pair block of `pair_blocks`, which
-  still contracts (and copies) rho once per pair; `subset_trace_sweep`
-  makes 4N - 2 einsum calls over stacks of partial blocks, with at most 3/8
-  of rho extra;
-- pure: O(N D d) time and O(D) memory per trace; `subset_trace_sweep`
-  meets in the middle with two 2^(N/2) x D amplitude stacks and one
-  matrix product, O(2^N D) time and O(2^(N/2) D) memory; `pair_blocks`
+  still contracts (and copies) rho once per pair; a sweep of two choices
+  per site makes 4N - 2 einsum calls over stacks of partial blocks, with at
+  most 3/8 of rho extra;
+- pure: O(N D d) time and O(D) memory per trace; a sweep of two choices
+  per site meets in the middle with two 2^(N/2) x D amplitude stacks and
+  one matrix product, O(2^N D) time and O(2^(N/2) D) memory; `pair_blocks`
   shares two sweeps over the sites between all pairs, O(N^2 D d / 2) time
   instead of O(N^3 D d / 2) pair by pair, then one stacked product of
   O(P D d^2), with O(P D) memory (about 4 MiB per stack at D = 4096, N = 12);
 - white noise: O(N d) per trace, an outer product of local traces,
-  O(2^N), for `subset_trace_sweep`, and O(P N) scalar products for
+  O(2^N), for two choices per site, and O(P N) scalar products for
   `pair_blocks`.
 """
 
@@ -79,6 +80,11 @@ def _frozen_complex(a: np.ndarray | Sequence, shape: tuple[int, ...], what: str)
     return arr
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SiteDims:
     """Local dimensions d_1..d_N of an N-partite system."""
@@ -86,7 +92,7 @@ class SiteDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(d, (int, np.integer)) for d in self.dims):
+        if not all(map(_is_int, self.dims)):
             raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
         dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
@@ -103,8 +109,8 @@ class SiteDims:
         return prod(self.dims)
 
     def is_site(self, site) -> bool:
-        """Whether `site` names a site: an integer in 1..N (a float never does)."""
-        return isinstance(site, (int, np.integer)) and 1 <= site <= self.n
+        """Whether `site` names a site: an integer in 1..N (never a float or a bool)."""
+        return _is_int(site) and 1 <= site <= self.n
 
     def uniform(self) -> int:
         """The shared local dimension; raises if sites differ."""
@@ -243,43 +249,10 @@ def assemble(op: ProductOperator) -> np.ndarray:
     return reduce(np.kron, op.factors)
 
 
-def _check_dims(rho: State, *ops: ProductOperator) -> None:
-    for op in ops:
-        if op.dims.dims != rho.dims.dims:
-            raise ValueError(
-                f"operator dims {op.dims.dims} do not match state dims {rho.dims.dims}"
-            )
-
-
 def product_trace(rho: State, factors: Sequence[np.ndarray]) -> complex:
-    """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g.
-
-    - dense: partial traces of the leading site, O(D^2) for the first one;
-    - pure: g applied to the amplitudes, closed with <psi|.>, O(D d);
-    - white noise: the running product of tr(g_i), starting from 1/D.
-    """
-    dims = rho.dims.dims
-    if len(factors) != len(dims):
-        raise ValueError(f"expected {len(dims)} factors, got {len(factors)}")
-    gs = [np.asarray(g, dtype=complex) for g in factors]
-    for d, g in zip(dims, gs):
-        if g.shape != (d, d):
-            raise ValueError(f"factor shape {g.shape} does not match site dimension {d}")
-    if isinstance(rho, WhiteNoise):
-        acc = 1.0 / rho.dims.total_dim
-        for g in gs:
-            acc = acc * np.trace(g)
-        return complex(acc)
-    if isinstance(rho, PureState):
-        psi = acc = rho.amplitudes.reshape(dims)
-        for site, g in enumerate(gs):
-            acc = np.moveaxis(np.tensordot(g, acc, axes=(1, site)), 0, site)
-        return complex(np.vdot(psi, acc))
-    acc = rho.mat
-    for d, g in zip(dims, gs):
-        # acc is (d*R, d*R) over sites site..N; rho'[r, s] = sum_ab acc[(a,r),(b,s)] g[b,a]
-        acc = np.einsum("arbs,ba->rs", acc.reshape(d, len(acc) // d, d, -1), g)
-    return complex(acc[0, 0])
+    """Tr[rho (g_1 x .. x g_N)] contracted site by site, never assembling g:
+    the subset sweep with one choice per site."""
+    return complex(subset_trace_sweep(rho, [(g,) for g in factors])[0])
 
 
 def sandwich_trace(rho: State, m: ProductOperator) -> float:
@@ -288,7 +261,6 @@ def sandwich_trace(rho: State, m: ProductOperator) -> float:
     Nonnegative for any valid state; values in [-psd_tol, 0) from rounding
     are clamped to 0.
     """
-    _check_dims(rho, m)
     value = product_trace(rho, [f @ f.conj().T for f in m.factors]).real
     if -PSD_TOL <= value < 0.0:
         return 0.0
@@ -297,28 +269,30 @@ def sandwich_trace(rho: State, m: ProductOperator) -> float:
 
 def cross_trace(rho: State, x: ProductOperator, y: ProductOperator) -> complex:
     """Tr[X^dag rho Y]; for pure rho = |psi><psi| this is <psi|Y X^dag|psi>."""
-    _check_dims(rho, x, y)
     return product_trace(
-        rho, [fy @ fx.conj().T for fx, fy in zip(x.factors, y.factors)]
+        rho, [fy @ fx.conj().T for fx, fy in zip(x.factors, y.factors, strict=True)]
     )
 
 
 def subset_trace_sweep(
     rho: State,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    choices: Sequence[Sequence[np.ndarray]],
 ) -> np.ndarray:
-    """All 2^N traces Tr[rho (w_1 x .. x w_N)] with w_i in {u_i, v_i}.
+    """All traces Tr[rho (w_1 x .. x w_N)] with w_i one of ``choices[i]``,
+    the one or more candidate factors for site i+1.
 
-    ``pairs[i] = (u, v)`` supplies the two candidate factors for site i+1;
-    the result is indexed by a bitmask where bit i set means site i+1 uses
-    ``v``.  One route per representation, none building the 2^N operators:
+    The result has prod(len(choices[i])) entries in mixed radix, site 1
+    least significant: with (u, v) at every site, bit i of the index set
+    means site i+1 uses v; with one choice per site it is the single trace
+    of `product_trace`.  Costs below are for two choices per site; one route
+    per representation, none building the assembled operators:
 
     - dense: each factor at site 1 in turn (which halves the peak memory)
       gives a partial trace, then site by site one einsum per factor runs
       over the stack of all partial blocks: 4N - 2 einsum calls, O(D^2)
       time, at most (D/d_1)^2 + 2 (D/(d_1 d_2))^2 <= 3/8 D^2 extra entries;
-    - white noise: the outer product of the per-site traces tr(u_i),
-      tr(v_i), scaled by 1/D; O(2^N) time and memory;
+    - white noise: the outer product of the per-site traces tr(w_i),
+      scaled by 1/D; O(2^N) time and memory;
     - pure: meet in the middle.  Every choice on the left half of the sites
       (L = floor(N/2)) is applied to the ket, a (2^L, D) stack, and every
       daggered choice on the right half to the bra, a (2^(N-L), D) stack;
@@ -328,46 +302,50 @@ def subset_trace_sweep(
     """
     dims = rho.dims.dims
     n = len(dims)
-    if len(pairs) != n:
-        raise ValueError(f"expected {n} factor pairs, got {len(pairs)}")
-    pairs = [(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)) for u, v in pairs]
+    if len(choices) != n:
+        raise ValueError(f"{len(choices)} sites of factors do not match the state's {n} sites")
+    choices = [[np.asarray(g, dtype=complex) for g in site] for site in choices]
+    for i, (d, site) in enumerate(zip(dims, choices)):
+        if not site or any(g.shape != (d, d) for g in site):
+            shapes = [g.shape for g in site]
+            raise ValueError(f"factor shapes {shapes} do not match site {i + 1} of dimension {d}")
     if isinstance(rho, WhiteNoise):
         out = np.array([1.0 / rho.dims.total_dim])
-        for u, v in pairs:
-            out = np.concatenate([out * np.trace(u), out * np.trace(v)])
+        for site in choices:
+            out = np.concatenate([out * np.trace(g) for g in site])
         return out
     if isinstance(rho, PureState):
         half = n // 2
-        ket = _choice_stack(rho.amplitudes, dims, range(half), pairs, dagger=False)
-        bra = _choice_stack(rho.amplitudes, dims, range(half, n), pairs, dagger=True)
+        ket = _choice_stack(rho.amplitudes, dims, range(half), choices, dagger=False)
+        bra = _choice_stack(rho.amplitudes, dims, range(half, n), choices, dagger=True)
         return (bra.conj() @ ket.T).reshape(-1)
-    # u and v stacked into one einsum operand would not give the same bits
+    # a site's choices stacked into one einsum operand would not give the same bits
     first = rho.mat.reshape(dims[0], len(rho.mat) // dims[0], dims[0], -1)
-    out = np.empty(1 << n, dtype=complex)
-    for c, g in enumerate(pairs[0]):
+    out = np.empty(prod(map(len, choices)), dtype=complex)
+    for c, g in enumerate(choices[0]):
         stack = np.einsum("arbs,ba->rs", first, g)[None]
-        for dm, (u, v) in zip(dims[1:], pairs[1:]):
+        for dm, site in zip(dims[1:], choices[1:]):
             blocks, rest = stack.shape[0], stack.shape[1] // dm
             view = stack.reshape(blocks, dm, rest, dm, rest)
-            stack = np.empty((2, blocks, rest, rest), dtype=complex)
-            np.einsum("karbs,ba->krs", view, u, out=stack[0])
-            np.einsum("karbs,ba->krs", view, v, out=stack[1])
-            stack = stack.reshape(2 * blocks, rest, rest)
-        out[c::2] = stack.reshape(-1)
+            stack = np.empty((len(site), blocks, rest, rest), dtype=complex)
+            for s, w in enumerate(site):
+                np.einsum("karbs,ba->krs", view, w, out=stack[s])
+            stack = stack.reshape(-1, rest, rest)
+        out[c::len(choices[0])] = stack.reshape(-1)
     return out
 
 
-def _choice_stack(amplitudes, dims, sites, pairs, dagger: bool) -> np.ndarray:
-    """(2^len(sites), D) amplitudes with u or v (daggered if `dagger`)
-    applied at each of `sites`; row r has v at the b-th of them when bit b
-    of r is set."""
+def _choice_stack(amplitudes, dims, sites, choices, dagger: bool) -> np.ndarray:
+    """(prod of the choice counts at `sites`, D) amplitudes with one choice
+    (daggered if `dagger`) applied at each of `sites`; the row index is the
+    choices in mixed radix, the first of `sites` least significant."""
     stack = amplitudes.reshape(1, -1)
     for site in sites:
-        g = np.stack(pairs[site])
+        g = np.stack(choices[site])
         if dagger:
             g = g.conj().transpose(0, 2, 1)
-        # one GEMM: (rows * pre, d, post) x (2, d, d) -> (rows * pre, post, 2, d),
-        # then the u-rows, followed by the v-rows, back in site order
+        # one GEMM: (rows * pre, d, post) x (C, d, d) -> (rows * pre, post, C, d),
+        # then the rows of each choice in turn, back in site order
         out = np.tensordot(stack.reshape(-1, dims[site], prod(dims[site + 1:])), g, axes=(1, 2))
         stack = out.transpose(2, 0, 3, 1).reshape(-1, stack.shape[1])
     return stack

@@ -39,7 +39,7 @@ from .criteria import (
     w_tilde_probe,
 )
 from .states import NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
-from .tensor import WhiteNoise, qudits
+from .tensor import WhiteNoise, _is_int, qudits
 
 __all__ = [
     "ThresholdResult",
@@ -332,11 +332,6 @@ def bisection_threshold(
     (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis)
     p_star = None if np.isnan(root) else float(root)
     return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
-
-
-def _is_int(value) -> bool:
-    """An integer, and not a bool (which Python counts as one)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def ghz_noise_closed_form(n: int, k: int) -> float:

@@ -29,14 +29,17 @@ from kunent import (
     Theorem2Evaluator,
     Theorem2K1Evaluator,
     WhiteNoise,
+    cross_trace,
     ghz,
     ghz_noise_family,
     ghz_probe,
     mix,
     pair_blocks,
+    product_trace,
     qubits,
     qudits,
     random_k_unentangled,
+    sandwich_trace,
     subset_trace_sweep,
     w_noise_family,
     w_probe,
@@ -233,6 +236,16 @@ def _recursive_dense_sweep(rho: DensityMatrix, pairs) -> np.ndarray:
     return rec(rho.mat, 0)
 
 
+def _site_by_site_dense_trace(rho: DensityMatrix, factors) -> complex:
+    """The dense product trace as its own route computed it before it became
+    the sweep's case of one choice per site: one leading-site einsum per site."""
+    acc = rho.mat
+    for d, g in zip(rho.dims.dims, factors):
+        # acc is (d*R, d*R) over sites site..N; rho'[r, s] = sum_ab acc[(a,r),(b,s)] g[b,a]
+        acc = np.einsum("arbs,ba->rs", acc.reshape(d, len(acc) // d, d, -1), g)
+    return complex(acc[0, 0])
+
+
 def _kron_pair_reduced(rho: DensityMatrix, i: int, j: int, baseline) -> np.ndarray:
     """The dense pair block with the rest-site baselines joined by np.kron,
     as the per-pair dense route built it before."""
@@ -347,8 +360,9 @@ STATE_DIGESTS = [
 
 
 class TestDenseKernelsBitForBit:
-    """The dense subset sweep, the dense pair blocks and the seeded
-    k-unentangled state keep every bit of the code they replaced."""
+    """The dense subset sweep, the dense product, cross and sandwich traces,
+    the dense pair blocks and the seeded k-unentangled state keep every bit
+    of the code they replaced."""
 
     @pytest.mark.parametrize("dims", BITWISE_DIMS)
     def test_dense_sweep_matches_recursion(self, dims):
@@ -359,6 +373,20 @@ class TestDenseKernelsBitForBit:
             pairs = [tuple(random_factors(d, 2, rng)) for d in dims.dims]
             assert np.array_equal(subset_trace_sweep(rho, pairs),
                                   _recursive_dense_sweep(rho, pairs))
+
+    @pytest.mark.parametrize("dims", BITWISE_DIMS)
+    def test_dense_closed_traces_match_site_by_site(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 5)
+        dims = SiteDims(dims)
+        for _ in range(3):
+            rho = random_mixed_state(dims, rng, rank=4)
+            factors = [g for d in dims.dims for g in random_factors(d, 1, rng)]
+            x, y = random_product_operator(dims, rng), random_product_operator(dims, rng)
+            assert product_trace(rho, factors) == _site_by_site_dense_trace(rho, factors)
+            assert cross_trace(rho, x, y) == _site_by_site_dense_trace(
+                rho, [fy @ fx.conj().T for fx, fy in zip(x.factors, y.factors)])
+            assert sandwich_trace(rho, x) == _site_by_site_dense_trace(
+                rho, [f @ f.conj().T for f in x.factors]).real
 
     @pytest.mark.parametrize("dims", BITWISE_DIMS)
     def test_dense_pair_blocks_match_kron_loop(self, dims):

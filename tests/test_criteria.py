@@ -77,10 +77,11 @@ class TestSwapOnSubset:
         assert_allclose(b.factors[2], y.factors[2])
 
     def test_out_of_range(self, rng):
-        # sites are integers in 1..N: 0, N + 1 and 1.9 are rejected, not truncated
+        # sites are integers in 1..N: 0, N + 1, 1.9 and True are rejected, not
+        # truncated or read as site 1
         dims = qubits(2)
         x = random_product_operator(dims, rng)
-        for alpha in ({5}, {0}, {3}, {1.9}, {1, 2.0}, {"1"}):
+        for alpha in ({5}, {0}, {3}, {1.9}, {1, 2.0}, {"1"}, {True}, {False}):
             with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
                 swap_on_subset(x, x, alpha)
 
@@ -433,11 +434,12 @@ class TestKRange:
             fm.margins(np.full(np.shape(k) + (1,), 0.5), k)
 
     @pytest.mark.parametrize("k", [
-        1.5, 2.0, np.float64(1.0), "1", np.array([1.5]), np.array([1.0, 2.0]),
-    ], ids=["1.5", "2.0", "np1.0", "str", "array1.5", "float-array"])
+        1.5, 2.0, np.float64(1.0), "1", np.array([1.5]), np.array([1.0, 2.0]), True, False,
+    ], ids=["1.5", "2.0", "np1.0", "str", "array1.5", "float-array", "True", "False"])
     def test_non_integer_k_rejected(self, k):
         # at k = 1.5 the GHZ point once read "detected" (margin 0.0712, and
-        # -0.219 at k = 1): a certificate for a k that has no meaning
+        # -0.219 at k = 1): a certificate for a k that has no meaning; k =
+        # True once gave a report with k=True, detected=True
         ghz_fam, w_fam = ghz_noise_family(4), w_noise_family(4, 3)
         for ev, point in (
             (Theorem1Evaluator(*ghz_probe(ghz_fam.dims)), ghz_fam.evaluate(0.35)),

@@ -77,7 +77,7 @@ class TestSiteDims:
             SiteDims((2, 2, 2, 2, 2))
         SiteDims((2, 2, 2, 2))  # exactly at the cap
 
-    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2), (np.float64(3), 3)])
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2), (np.float64(3), 3), (2, True)])
     def test_rejects_non_integer_dimension(self, dims):
         with pytest.raises(ValueError, match="local dimensions must be integers"):
             SiteDims(dims)
@@ -182,9 +182,11 @@ class TestProductOperator:
         with pytest.raises(ValueError, match="out of range"):
             op.replace_factor(3, RAISE)
 
-    @pytest.mark.parametrize("site", [2.0, 1.5, np.float64(1.0), "1"], ids=["2.0", "1.5", "np1.0", "str"])
+    @pytest.mark.parametrize("site", [2.0, 1.5, np.float64(1.0), "1", True, False],
+                             ids=["2.0", "1.5", "np1.0", "str", "True", "False"])
     def test_replace_factor_rejects_non_integer_site(self, site):
-        # sites are integers, as in swap_on_subset: 2.0 once raised a TypeError
+        # sites are integers, as in swap_on_subset: 2.0 once raised a TypeError,
+        # and True once replaced site 1
         op = ProductOperator.identity(qubits(3))
         with pytest.raises(ValueError, match=rf"site {re.escape(repr(site))} out of range 1\.\.3"):
             op.replace_factor(site, RAISE)
@@ -359,6 +361,71 @@ class TestSweep:
             assert sweep[mask] == pytest.approx(
                 product_trace(rho, factors), rel=1e-12, abs=1e-12
             )
+
+
+    @pytest.mark.parametrize("dims,counts", [((2, 3, 2), (1, 2, 3)), ((2, 2, 2, 2), (3, 1, 2, 2)),
+                                             ((3, 2), (2, 3))])
+    def test_mixed_choice_counts_match_assembled(self, rng, dims, counts):
+        # entry index in mixed radix, site 1 least significant
+        dims = SiteDims(dims)
+        z = rng.standard_normal(dims.total_dim) + 1j * rng.standard_normal(dims.total_dim)
+        psi = PureState(dims, z / np.linalg.norm(z))
+        choices = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    for _ in range(c)] for d, c in zip(dims.dims, counts)]
+        dense = random_mixed_state(dims, rng)
+        noise = np.eye(dims.total_dim) / dims.total_dim
+        for rho, mat in ((dense, dense.mat), (psi, psi.to_density_matrix().mat),
+                         (WhiteNoise(dims), noise)):
+            sweep = subset_trace_sweep(rho, choices)
+            assert sweep.shape == (np.prod(counts),)
+            for index, value in enumerate(sweep):
+                picks = np.unravel_index(index, counts[::-1])[::-1]
+                op = ProductOperator(dims, tuple(c[i] for c, i in zip(choices, picks)))
+                want = np.trace(mat @ assemble(op))
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestKernelArguments:
+    """Every closed-trace kernel rejects a wrong factor count or a factor of
+    the wrong shape, on each representation, through the sweep's one check."""
+
+    DIMS = SiteDims((2, 3))
+
+    def _states(self, rng):
+        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        return [random_mixed_state(self.DIMS, rng), PureState(self.DIMS, z / np.linalg.norm(z)),
+                WhiteNoise(self.DIMS)]
+
+    @pytest.mark.parametrize("factors", [
+        [I2], [I2, np.eye(3), I2], [np.eye(3), I2], [I2, I2], [I2, np.ones(3)],
+    ], ids=["too-few", "too-many", "swapped", "wrong-dim", "not-square"])
+    def test_product_trace_and_sweep(self, rng, factors):
+        # the white-noise sweep once checked no shape: 3 x 3 factors on two qubits gave [2.25] * 4
+        for rho in self._states(rng):
+            with pytest.raises(ValueError, match="do not match"):
+                product_trace(rho, factors)
+            with pytest.raises(ValueError, match="do not match"):
+                subset_trace_sweep(rho, [(g, g) for g in factors])
+            with pytest.raises(ValueError, match="do not match"):
+                subset_trace_sweep(rho, [(g,) * (i + 1) for i, g in enumerate(factors)])
+
+    def test_site_without_a_choice(self, rng):
+        for rho in self._states(rng):
+            with pytest.raises(ValueError, match=r"\[\] do not match site 2"):
+                subset_trace_sweep(rho, [(I2,), ()])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2)])
+    def test_operators_on_other_sites(self, rng, dims):
+        ok = random_product_operator(self.DIMS, rng)
+        wrong = random_product_operator(SiteDims(dims), rng)
+        for rho in self._states(rng):
+            with pytest.raises(ValueError, match="do not match"):
+                sandwich_trace(rho, wrong)
+            with pytest.raises(ValueError, match="do not match"):
+                cross_trace(rho, wrong, wrong)
+            for x, y in ((ok, wrong), (wrong, ok)):
+                with pytest.raises(ValueError):
+                    cross_trace(rho, x, y)
 
 
 class TestComponentKernels:

@@ -58,6 +58,10 @@ class TestGhzClosedForm:
             ghz_noise_closed_form(8, 8)
         with pytest.raises(ValueError):
             ghz_noise_closed_form(8, 0)
+        # ghz_noise_closed_form(4, True) once returned 0.4667, the k = 1 value
+        for k in (True, False, 2.0):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+                ghz_noise_closed_form(4, k)
 
 
 class TestExample2ClosedForm:
@@ -85,6 +89,9 @@ class TestExample2ClosedForm:
             example2_closed_form(4, 5, 3)
         with pytest.raises(ValueError):
             example2_closed_form(4, 1, 1)
+        for k in (True, False, 2.0):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+                example2_closed_form(4, k, 3)
 
     def test_k_range_is_the_criterions(self):
         # k = N is outside the range the site-probe criterion is defined on
