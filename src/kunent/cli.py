@@ -223,6 +223,20 @@ def _label_texts(names: Sequence[str]) -> list[str]:
             for at, name in enumerate(names)]
 
 
+def _terms_text(terms, labels: dict) -> str:
+    """A report's "terms" list as the document lays it out, from its
+    `"terms": []` marker on; `labels` holds the encoded labels of every
+    label tuple met so far in the document."""
+    if not terms:
+        return _TERMS_MARKER
+    names, values = zip(*terms)
+    if names not in labels:
+        labels[names] = _label_texts(names)
+    items = [""] * (2 * len(names))
+    items[::2], items[1::2] = labels[names], _json_floats(values)
+    return "".join((_TERMS_MARKER[:-1], _TERMS_FIRST, *items, _TERMS_LAST, _TERMS_MARKER[-1]))
+
+
 def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     """The `eval` JSON document, byte for byte json.dumps(payload, indent=2)
     + "\n" of {"rho", "any_detected", "reports": [r.to_dict(), ...]}.
@@ -230,10 +244,11 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     json.dumps with an indent runs the pure-Python encoder, one generator
     step per token, which made writing the terms most of an `eval` request.
     So it encodes only the skeleton, each report with an empty "terms"
-    list, and each non-empty list is filled in from `_terms_layout`.  The
-    skeleton splits at its `"terms": []` markers into one piece per report
-    plus one: inside an encoded string every quote is escaped, so the
-    marker occurs at the reports' "terms" keys only.
+    list, and each list is filled in from `_terms_layout`.  The skeleton
+    splits at its `"terms": []` markers into one piece per report plus
+    one: inside an encoded string every quote is escaped, so the marker
+    occurs at the reports' "terms" keys only.  Reports that share one term
+    list, as a T1 criterion's reports at every k do, have it encoded once.
     """
     skeleton = json.dumps(
         {
@@ -245,18 +260,14 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     )
     head, *tails = skeleton.split(_TERMS_MARKER)
     parts = [head]
-    labels = {}  # the reports of a criterion share one label tuple, encoded once
+    # each term list's text by its identity; the entry holds the list, so
+    # no other list can take its id while the document is written
+    labels, texts = {}, {}
     for report, tail in zip(reports, tails, strict=True):
-        if report.terms:
-            names, values = zip(*report.terms)
-            if names not in labels:
-                labels[names] = _label_texts(names)
-            items = [""] * (2 * len(names))
-            items[::2], items[1::2] = labels[names], _json_floats(values)
-            parts += (_TERMS_MARKER[:-1], _TERMS_FIRST, *items, _TERMS_LAST, _TERMS_MARKER[-1])
-        else:
-            parts.append(_TERMS_MARKER)
-        parts.append(tail)
+        entry = texts.get(id(report.terms))
+        if entry is None:
+            entry = texts[id(report.terms)] = (report.terms, _terms_text(report.terms, labels))
+        parts += (entry[1], tail)
     parts.append("\n")
     return "".join(parts)
 
@@ -272,8 +283,7 @@ def cmd_eval(args) -> int:
         raise InputError(str(exc)) from exc
 
     ks = evaluator.ks() if args.k is None else [args.k]
-    traces = evaluator.traces(rho)
-    reports = [evaluator.report(traces, k) for k in ks]
+    reports = evaluator.reports(evaluator.traces(rho), ks)
     sys.stdout.write(_reports_csv(reports) if args.csv else _reports_json(label, reports))
     return 0
 

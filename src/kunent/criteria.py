@@ -42,13 +42,20 @@ sound for k = 1) it can fire on states that do contain one unentangled
 particle.
 It is the sharper choice on fully product states; threshold scans use
 the summed form for k = 1.
+
+Both criteria depend on k through one scalar only: T1 scales its lhs by
+2^{k+1} - 2 and T2 its site sum by T (N - k - 1).  So `reports(traces,
+ks)` evaluates a criterion at every k of ks in one pass, and the terms a
+report lists, the same at every k, are computed once and shared by the
+reports; `report(traces, k)` is its case of one k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, NamedTuple, Sequence
+from itertools import repeat
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -276,19 +283,26 @@ def _tuple_labels(kind: str, n: int, big_t: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=64)
-def _t2_term_labels(n: int, big_t: int) -> tuple[str, ...]:
+def _t2_term_layout(n: int, big_t: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels of the per-tuple and per-site terms a T2 report lists after
-    its four sums: cross then pair for each tuple, then site[s=..,i=..]."""
+    its four sums, cross then pair for each tuple, then site[s=..,i=..];
+    and, read-only, each term's index into the |cross|, sqrt(base * pair)
+    and clamped site values of `_evaluate`, laid end to end."""
     cross, pair = _tuple_labels("cross", n, big_t), _tuple_labels("pair", n, big_t)
-    return tuple(label for both in zip(cross, pair) for label in both) + tuple(
+    labels = tuple(label for both in zip(cross, pair) for label in both) + tuple(
         f"site[s={s + 1},i={i + 1}]" for s in range(big_t) for i in range(n)
     )
+    listed, size = _tuple_layout(n, big_t)[2], big_t * big_t * n * n
+    order = np.concatenate((np.stack((listed, size + listed), axis=-1).reshape(-1),
+                            np.arange(2 * size, 2 * size + big_t * n)))
+    order.setflags(write=False)
+    return labels, order
 
 
 class _Criterion:
     """What both criteria share; a subclass supplies one component's bundle
     (`_traces`), the formula over one bundle or a batch (`_evaluate`,
-    `Margins` first) and the labelled terms of its `report`."""
+    `Margins` first) and the labelled terms of its reports (`_terms`)."""
 
     theorem: str
     dims: SiteDims
@@ -314,16 +328,40 @@ class _Criterion:
 
     def margins(self, traces, k: int, inverse: dict | None = None) -> Margins:
         """`inverse`: each field's entry->column map (`_gather`); none for a plain bundle."""
+        self._check(traces.n, k)
         return self._evaluate(traces, k, inverse)[0]
 
     def evaluate(self, rho: State | Mixture, k: int) -> CriterionReport:
         return self.report(self.traces(rho), k)
 
-    def _report(self, m: Margins, k: int, terms) -> CriterionReport:
-        return CriterionReport(
-            self.theorem, k, float(m.lhs), float(m.rhs), float(m.margin),
-            bool(m.detected), tuple(terms), self.degenerate,
-        )
+    def report(self, traces, k: int) -> CriterionReport:
+        return self.reports(traces, [k])[0]
+
+    def reports(self, traces, ks: Iterable[int]) -> list[CriterionReport]:
+        """One report per k of `ks`, from one evaluation at all of them:
+        the criteria depend on k through one scalar, so every term a
+        report lists, and each side that does not depend on k, is computed
+        once and shared by the reports."""
+        checked = []
+        for k in ks:
+            self._check(traces.n, k)
+            checked.append(int(k))
+        # one k goes in as an int: numpy scalars compute faster than 1-entry arrays
+        k = checked[0] if len(checked) == 1 else np.array(checked, dtype=int)
+        m, *parts = self._evaluate(traces, k)
+        # a side that does not depend on k (or of the one k) is 0-d, and shared
+        sides = [a.tolist() if a.ndim else [cast(a)] * len(checked)
+                 for cast, a in zip((float, float, float, bool), m)]
+        return [
+            CriterionReport(self.theorem, k, lhs, rhs, margin, detected, terms, self.degenerate)
+            for k, lhs, rhs, margin, detected, terms
+            in zip(checked, *sides, self._terms(traces, m, *parts))
+        ]
+
+    def _check(self, n: int, k) -> None:
+        """Reject a k, or an int array of one k per row, that the criterion
+        is not defined for: by default any but an integer in 1..N-1."""
+        _check_k(n, k)
 
 
 class Theorem1Evaluator(_Criterion):
@@ -343,8 +381,9 @@ class Theorem1Evaluator(_Criterion):
         self.dims = x.dims
         self.degenerate = x.is_zero() or y.is_zero()
 
-    # bound here too: the benchmark tracer wraps `traces` in each class's own __dict__
-    traces = _Criterion.traces
+    # bound here too: the benchmark tracer wraps `traces` and `report` in
+    # each class's own __dict__
+    traces, report = _Criterion.traces, _Criterion.report
 
     def _traces(self, rho: State) -> Theorem1Traces:
         pairs = [
@@ -354,28 +393,27 @@ class Theorem1Evaluator(_Criterion):
         subset = subset_trace_sweep(rho, pairs).real
         return Theorem1Traces(self.dims.n, cross_trace(rho, self.x, self.y), subset)
 
-    def _evaluate(self, traces: Theorem1Traces, k: int, inverse=None) -> tuple[Margins, np.ndarray]:
+    def _evaluate(self, traces: Theorem1Traces, k, inverse=None) -> tuple[Margins, np.ndarray]:
         n = traces.n
-        _check_k(n, k)
         full = (1 << n) - 1
         at = (inverse or {}).get
-        clamped = np.maximum(np.reshape(traces.subset, (*np.shape(traces.cross), -1)), 0.0)
+        clamped = np.maximum(traces.subset, 0.0)
         # term of mask m (1 <= m < full) pairs subset[m] with its complement
         terms = np.sqrt(_gather(clamped, at("subset"), slice(1, full))
                         * _gather(clamped, at("subset"), slice(full - 1, 0, -1)))
         # np.hypot gives the bits of abs() on a Python complex; np.abs differs
-        lhs = np.hypot(np.real(traces.cross), np.imag(traces.cross))
+        lhs = np.hypot(traces.cross.real, traces.cross.imag)
         # a running sum adds the terms in mask order, one at a time; np.sum
         # adds pairwise and would move the last bits of every margin
-        rhs = np.cumsum(terms, axis=-1)[..., -1]
+        rhs = terms.cumsum(axis=-1)[..., -1]
         scaled = (2 ** (k + 1) - 2) * lhs
         margin = scaled - rhs
         detected = certified(margin, np.maximum(scaled, rhs), full - 1, self.dims.total_dim)
         return Margins(lhs, rhs, margin, detected), terms
 
-    def report(self, traces: Theorem1Traces, k: int) -> CriterionReport:
-        m, terms = self._evaluate(traces, k)
-        return self._report(m, k, zip(_subset_labels(traces.n), terms.tolist()))
+    def _terms(self, traces: Theorem1Traces, m: Margins, terms: np.ndarray):
+        """Every k's report lists the same subset terms: one tuple, shared."""
+        return repeat(tuple(zip(_subset_labels(traces.n), terms.tolist())))
 
 
 class Theorem2Evaluator(_Criterion):
@@ -393,13 +431,14 @@ class Theorem2Evaluator(_Criterion):
         self.d = d
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
 
-    # bound here too: the benchmark tracer wraps `traces` in each class's own __dict__
-    traces = _Criterion.traces
+    # bound here too: the benchmark tracer wraps `traces` and `report` in
+    # each class's own __dict__
+    traces, report = _Criterion.traces, _Criterion.report
 
     def _traces(self, rho: State) -> Theorem2Traces:
         n, d, big_t = self.dims.n, self.d, len(self.omegas)
-        xs = np.stack(self.x.factors)
-        om = np.stack(self.omegas)
+        xs = np.array(self.x.factors)
+        om = np.array(self.omegas)
         xs_dag = xs.conj().transpose(0, 2, 1)
         om_dag = om.conj().transpose(0, 2, 1)
         baseline = xs @ xs_dag
@@ -434,17 +473,16 @@ class Theorem2Evaluator(_Criterion):
         base = float(np.einsum("ab,ba->", r_site[0], baseline[0]).real)
         return Theorem2Traces(n, big_t, cross, pair, site, base)
 
-    def _evaluate(self, traces: Theorem2Traces, k: int, inverse=None):
+    def _evaluate(self, traces: Theorem2Traces, k, inverse=None):
         """Margins, the rhs pair and site sums, and per column the |cross|,
         sqrt(base * pair) and clamped site traces a report lists."""
         n, big_t = traces.n, traces.n_omega
-        _check_k(n, k)
         at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
         summed = _tuple_layout(n, big_t)[3]
         base = np.maximum(traces.base, 0.0)
-        cross = np.abs(np.reshape(traces.cross, flat))
-        pair = np.sqrt(base[..., None] * np.maximum(np.reshape(traces.pair, flat), 0.0))
-        site = np.maximum(np.reshape(traces.site, flat), 0.0)
+        cross = np.abs(traces.cross.reshape(flat))
+        pair = np.sqrt(base[..., None] * np.maximum(traces.pair.reshape(flat), 0.0))
+        site = np.maximum(traces.site.reshape(flat), 0.0)
         lhs = np.sum(_gather(cross, at("cross"), summed), axis=-1)
         rhs_pairs = np.sum(_gather(pair, at("pair"), summed), axis=-1)
         rhs_sites = big_t * (n - k - 1) * np.sum(_gather(site, at("site")), axis=-1)
@@ -454,18 +492,14 @@ class Theorem2Evaluator(_Criterion):
         detected = certified(margin, np.maximum(lhs, rhs), n_terms, self.dims.total_dim)
         return Margins(lhs, rhs, margin, detected), rhs_pairs, rhs_sites, cross, pair, site
 
-    def report(self, traces: Theorem2Traces, k: int) -> CriterionReport:
-        m, rhs_pairs, rhs_sites, cross, pair, site = self._evaluate(traces, k)
-        listed = _tuple_layout(traces.n, traces.n_omega)[2]
-        tuples = np.stack((cross[listed], pair[listed]), axis=-1).reshape(-1)
-        values = np.concatenate((tuples, site))
-        return self._report(m, k, (
-            ("lhs_sum", float(m.lhs)),
-            ("rhs_pair_sum", float(rhs_pairs)),
-            ("rhs_site_sum", float(rhs_sites)),
-            ("base", max(float(traces.base), 0.0)),
-            *zip(_t2_term_labels(traces.n, traces.n_omega), values.tolist()),
-        ))
+    def _terms(self, traces: Theorem2Traces, m: Margins, rhs_pairs, rhs_sites, cross, pair, site):
+        """Each k's four sums, then the tuple and site terms, one tuple that
+        every k's report shares."""
+        labels, order = _t2_term_layout(traces.n, traces.n_omega)
+        shared = tuple(zip(labels, np.concatenate((cross, pair, site)).take(order).tolist()))
+        lhs, pairs, base = float(m.lhs), float(rhs_pairs), max(float(traces.base), 0.0)
+        return [(("lhs_sum", lhs), ("rhs_pair_sum", pairs), ("rhs_site_sum", sites),
+                 ("base", base)) + shared for sites in np.ravel(rhs_sites).tolist()]
 
 
 class Theorem2K1Evaluator(Theorem2Evaluator):
@@ -478,16 +512,21 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
     def ks(self) -> list[int]:
         return [1]
 
-    def _evaluate(self, traces: Theorem2Traces, k: int, inverse=None) -> tuple[Margins, np.ndarray]:
-        """Margins plus every tuple margin |cross|^2 - base * pair."""
+    def report(self, traces: Theorem2Traces, k: int = 1) -> CriterionReport:
+        return self.reports(traces, [k])[0]
+
+    def _check(self, n: int, k) -> None:
         k = np.ravel(k)
         if np.any(k != 1):
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k[k != 1][0]}")
+
+    def _evaluate(self, traces: Theorem2Traces, k, inverse=None) -> tuple[Margins, np.ndarray]:
+        """Margins plus every tuple margin |cross|^2 - base * pair."""
         at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
         listed = _tuple_layout(traces.n, traces.n_omega)[2]
         base = np.maximum(traces.base, 0.0)
-        lhs = _gather(np.abs(np.reshape(traces.cross, flat)) ** 2, at("cross"), listed)
-        rhs = _gather(base[..., None] * np.maximum(np.reshape(traces.pair, flat), 0.0),
+        lhs = _gather(np.abs(traces.cross.reshape(flat)) ** 2, at("cross"), listed)
+        rhs = _gather(base[..., None] * np.maximum(traces.pair.reshape(flat), 0.0),
                       at("pair"), listed)
         tuples = lhs - rhs
         # witness: the first largest tuple margin; lhs/rhs are reported for it
@@ -498,14 +537,12 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
         detected = certified(margin, np.maximum(lhs_w, rhs_w), lhs.shape[-1], self.dims.total_dim)
         return Margins(lhs_w, rhs_w, margin, detected), tuples
 
-    def report(self, traces: Theorem2Traces, k: int = 1) -> CriterionReport:
-        m, tuples = self._evaluate(traces, k)
+    def _terms(self, traces: Theorem2Traces, m: Margins, tuples: np.ndarray):
+        """The witness tuple's margin, then every tuple margin."""
         n, big_t = traces.n, traces.n_omega
         witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
-        return self._report(m, 1, (
-            (witness, float(m.margin)),
-            *zip(_tuple_labels("margin", n, big_t), tuples.tolist()),
-        ))
+        return repeat(((witness, float(m.margin)),
+                       *zip(_tuple_labels("margin", n, big_t), tuples.tolist())))
 
 
 # --------------------------------------------------------------------------

@@ -275,8 +275,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
         report.step("t2-mixture-triangle").record(tri2 - lhs_mixed2, lhs_mixed2, tri2)
 
         pure_tr = comp_tr[0]
-        for kk in range(1, k + 1):
-            rep2 = ev.report(pure_tr, kk)
+        for rep2 in ev.reports(pure_tr, range(1, k + 1)):
             report.step("t2-pure-bound").record(-rep2.margin, rep2.lhs, rep2.rhs)
 
         lhs_cs2 = sum(

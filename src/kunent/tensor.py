@@ -305,10 +305,11 @@ def subset_trace_sweep(
     if len(choices) != n:
         raise ValueError(f"{len(choices)} sites of factors do not match the state's {n} sites")
     choices = [[np.asarray(g, dtype=complex) for g in site] for site in choices]
-    for i, (d, site) in enumerate(zip(dims, choices)):
-        if not site or any(g.shape != (d, d) for g in site):
-            shapes = [g.shape for g in site]
-            raise ValueError(f"factor shapes {shapes} do not match site {i + 1} of dimension {d}")
+    if not all(choices) or not all(g.shape == (d, d) for d, site in zip(dims, choices) for g in site):
+        for i, (d, site) in enumerate(zip(dims, choices), start=1):  # to word the error
+            if not site or any(g.shape != (d, d) for g in site):
+                shapes = [g.shape for g in site]
+                raise ValueError(f"factor shapes {shapes} do not match site {i} of dimension {d}")
     if isinstance(rho, WhiteNoise):
         out = np.array([1.0 / rho.dims.total_dim])
         for site in choices:
@@ -327,6 +328,9 @@ def subset_trace_sweep(
         for dm, site in zip(dims[1:], choices[1:]):
             blocks, rest = stack.shape[0], stack.shape[1] // dm
             view = stack.reshape(blocks, dm, rest, dm, rest)
+            if len(site) == 1:
+                stack = np.einsum("karbs,ba->krs", view, site[0])
+                continue
             stack = np.empty((len(site), blocks, rest, rest), dtype=complex)
             for s, w in enumerate(site):
                 np.einsum("karbs,ba->krs", view, w, out=stack[s])
@@ -341,7 +345,7 @@ def _choice_stack(amplitudes, dims, sites, choices, dagger: bool) -> np.ndarray:
     choices in mixed radix, the first of `sites` least significant."""
     stack = amplitudes.reshape(1, -1)
     for site in sites:
-        g = np.stack(choices[site])
+        g = np.array(choices[site])
         if dagger:
             g = g.conj().transpose(0, 2, 1)
         # one GEMM: (rows * pre, d, post) x (C, d, d) -> (rows * pre, post, C, d),

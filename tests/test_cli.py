@@ -16,6 +16,7 @@ import pytest
 from kunent import (
     Theorem1Evaluator,
     Theorem2Evaluator,
+    Theorem2K1Evaluator,
     example2_closed_form,
     ghz_noise_closed_form,
     ghz_noise_family,
@@ -23,6 +24,7 @@ from kunent import (
     w_noise_family,
     w_probe,
 )
+from kunent import cli
 from kunent.cli import main, parse_state_spec
 from kunent.config import dim_cap
 from kunent.serialize import matrix_to_dict, save_density_matrix
@@ -440,6 +442,50 @@ class TestOracleCheckCommand:
         code, out, err = run_cli(capsys, "oracle-check", "--trials", trials)
         assert code == 2 and out == ""
         assert "trials must be >= 1" in err
+
+
+class TestEvalWork:
+    """An `eval` request evaluates its criterion once for every k it
+    reports, and encodes each distinct term list once."""
+
+    @staticmethod
+    def count(monkeypatch):
+        """{"evaluate": [k per call], "encode": [id of each list encoded]}, counted as they happen."""
+        calls = {"evaluate": [], "encode": []}
+        for cls in (Theorem1Evaluator, Theorem2Evaluator, Theorem2K1Evaluator):
+            def counted(self, traces, k, inverse=None, _original=cls.__dict__["_evaluate"]):
+                calls["evaluate"].append(k)
+                return _original(self, traces, k, inverse)
+
+            monkeypatch.setattr(cls, "_evaluate", counted)
+        terms_text = cli._terms_text
+
+        def counted_text(terms, labels):
+            calls["encode"].append(id(terms))
+            return terms_text(terms, labels)
+
+        monkeypatch.setattr(cli, "_terms_text", counted_text)
+        return calls
+
+    @pytest.mark.parametrize("argv,reports,encodes", [
+        # T1: the reports at k = 1..5 share one term list
+        (["--rho", "ghz:6:p=0.6"], 5, 1),
+        (["--rho", "ghz:6:p=0.6", "--k", "3"], 1, 1),
+        # T2: each k has its own site sum among the terms, so its own list
+        (["--rho", "w:4:3:p=0.3,q=0.2", "--theorem", "2"], 3, 3),
+        (["--rho", "ghz:4", "--theorem", "2", "--per-tuple"], 1, 1),
+        (["--rho", "mixed:I/64", "--csv"], 5, 0),
+    ])
+    def test_one_evaluation_and_one_encode_per_distinct_list(self, monkeypatch, capsys,
+                                                             argv, reports, encodes):
+        calls = self.count(monkeypatch)
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        assert len(calls["evaluate"]) == 1
+        assert np.size(calls["evaluate"][0]) == reports
+        assert len(calls["encode"]) == len(set(calls["encode"])) == encodes
+        if "--csv" not in argv:
+            assert len(json.loads(out)["reports"]) == reports
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ give, row by row, the bits of a one-point call.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -713,3 +714,72 @@ class TestReportMatchesLoopReference:
             for k in ([1] if kind == "T2_k1" else range(1, dims.n)):
                 rep = ev.report(tr, k)
                 assert (rep.lhs, rep.rhs, rep.margin) == reference(tr, k)
+
+
+def _report_bits(report) -> tuple:
+    """Every field of a report, each float as its bits (so the last ulp, the
+    sign of a zero and a NaN count) and with its type."""
+
+    def bits(value):
+        return (type(value), np.float64(value).tobytes() if isinstance(value, float) else value)
+
+    return (report.theorem, bits(report.k), *map(bits, (report.lhs, report.rhs, report.margin)),
+            bits(report.detected), bits(report.degenerate),
+            tuple((label, bits(value)) for label, value in report.terms))
+
+
+def _bit_cases_states(dims: SiteDims, rng: np.random.Generator):
+    """A dense, a pure, a mixed and a white-noise state on `dims`."""
+    kets = random_ket(dims, rng), random_ket(dims, rng)
+    return [random_mixed_state(dims, rng), kets[0],
+            Mixture(dims, ((0.5, kets[0]), (0.25, kets[1]))), WhiteNoise(dims)]
+
+
+def _bit_cases_evaluators(kind: str, dims: SiteDims, rng: np.random.Generator):
+    """A criterion on random probes, and one whose base probe has a zero factor."""
+    zero = np.zeros((dims.dims[0],) * 2)
+    ev = evaluators(kind, dims, rng)
+    x = ev.x.replace_factor(1, zero)
+    degenerate = (type(ev)(x, ev.y) if kind == "T1" else type(ev)(x, ev.omegas))
+    assert degenerate.degenerate and not ev.degenerate
+    return ev, degenerate
+
+
+class TestReportsMatchReport:
+    """`reports` evaluates every k at once and shares what does not depend on
+    k; each of its reports is, field for field and bit for bit, the report
+    of its k alone."""
+
+    @pytest.mark.parametrize("kind,dims", CASES)
+    def test_every_field_bit_for_bit(self, kind, dims):
+        rng = np.random.default_rng(len(dims) * 10 + sum(dims) + 9)
+        dims = SiteDims(dims)
+        # every k, last first, and one of them twice; the per-tuple variant is defined at k = 1
+        ks = [1, 1] if kind == "T2_k1" else [*range(dims.n - 1, 0, -1), 1]
+        for ev in _bit_cases_evaluators(kind, dims, rng):
+            for rho in _bit_cases_states(dims, rng):
+                traces = ev.traces(rho)
+                got = ev.reports(traces, ks)
+                assert [_report_bits(r) for r in got] == [
+                    _report_bits(ev.report(traces, k)) for k in ks]
+                assert [_report_bits(r) for r in ev.reports(traces, range(1, 2))] == [
+                    _report_bits(ev.evaluate(rho, 1))]
+                if kind == "T1":  # one term tuple, shared by every k
+                    assert all(r.terms is got[0].terms for r in got)
+
+    def test_no_k_no_report(self):
+        ev = evaluators("T2", qubits(3), np.random.default_rng(1))
+        assert ev.reports(ev.traces(WhiteNoise(qubits(3))), []) == []
+
+    @pytest.mark.parametrize("ks,message", [
+        ([1, 1.5], "k must be an integer, got 1.5"),
+        ([2, True], "k must be an integer, got True"),
+        ([1, 4], "k must satisfy 1 <= k <= 3, got 4"),
+    ])
+    def test_each_k_checked_as_report_checks_it(self, ks, message):
+        ev = evaluators("T1", qubits(4), np.random.default_rng(2))
+        traces = ev.traces(WhiteNoise(qubits(4)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ev.reports(traces, ks)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ev.report(traces, ks[1])

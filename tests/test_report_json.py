@@ -98,3 +98,39 @@ def test_layout_follows_to_dict(monkeypatch):
     monkeypatch.setattr(CriterionReport, "to_dict", with_terms(lambda l, v: {"value": v, "label": l}))
     with pytest.raises(ValueError):
         cli._terms_layout()
+
+
+def _terms(values, prefix="alpha") -> tuple:
+    return tuple((f"{prefix}={{{i}}}", v) for i, v in enumerate(values))
+
+
+def test_shared_term_list_is_written_for_every_report():
+    shared = _terms([0.5, -0.0, 1e-300, float("nan")])
+    reps = [CriterionReport("T1", k, 0.1 * k, 0.2, -0.1, False, shared) for k in (1, 2, 3)]
+    assert _reports_json("ghz:4", reps) == encoded("ghz:4", reps)
+
+
+def test_equal_but_distinct_term_lists():
+    reps = [CriterionReport("T1", k, 0.1, 0.2, -0.1, False, _terms([0.5, 0.25]))
+            for k in (1, 2)]
+    assert reps[0].terms == reps[1].terms and reps[0].terms is not reps[1].terms
+    assert _reports_json("x", reps) == encoded("x", reps)
+
+
+def test_shared_and_unshared_lists_of_one_length():
+    # every list has four terms, and lists of one length and labels but other
+    # values sit between the reports of a shared list: text reused by anything
+    # but the list itself would write some report's neighbour's values
+    shared = _terms([1.0, 2.0, 3.0, 4.0])
+    reps = []
+    for k in range(1, 6):
+        reps.append(CriterionReport("T1", k, 0.0, 0.0, 0.0, False, shared))
+        reps.append(CriterionReport("T2", k, 0.0, 0.0, 0.0, False, _terms([1.0 * k, -1.0 * k, 0.5 * k, 0.0])))
+        reps.append(CriterionReport("T2", k, 0.0, 0.0, 0.0, False, _terms([1.0 * k] * 4, "site")))
+    reps.append(CriterionReport("T1", 9, 0.0, 0.0, 0.0, True, ()))
+    assert _reports_json("mixed", reps) == encoded("mixed", reps)
+    # built and dropped one at a time, so that one id may well come back for another list
+    for k in range(1, 20):
+        reps = [CriterionReport("T2", 1, 0.0, 0.0, 0.0, False, _terms([k + 0.5] * 4)),
+                CriterionReport("T2", 2, 0.0, 0.0, 0.0, False, _terms([k - 0.5] * 4))]
+        assert _reports_json("again", reps) == encoded("again", reps)
