@@ -30,6 +30,7 @@ from dataclasses import replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite, log2
+from operator import is_
 from os.path import commonprefix, isfile
 from typing import Sequence
 
@@ -216,25 +217,44 @@ def _json_floats(values: Sequence[float]) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _label_texts(names: Sequence[str]) -> list[str]:
-    """The text before each term's value: its label encoded, after the
-    previous value's separator."""
-    return [("" if at == 0 else _TERMS_BETWEEN) + encode_basestring_ascii(name) + _TERM_MID
-            for at, name in enumerate(names)]
-
-
-def _terms_text(terms, labels: dict) -> str:
-    """A report's "terms" list as the document lays it out, from its
-    `"terms": []` marker on; `labels` holds the encoded labels of every
-    label tuple met so far in the document."""
+def _items_text(terms, labels: dict) -> str:
+    """The (label, value) items of `terms` as the document lays them out,
+    each after the text that follows a value; `labels` holds the encoded
+    labels of every label tuple met so far in the document."""
     if not terms:
-        return _TERMS_MARKER
+        return ""
     names, values = zip(*terms)
     if names not in labels:
-        labels[names] = _label_texts(names)
+        labels[names] = [_TERMS_BETWEEN + encode_basestring_ascii(name) + _TERM_MID
+                         for name in names]
     items = [""] * (2 * len(names))
     items[::2], items[1::2] = labels[names], _json_floats(values)
-    return "".join((_TERMS_MARKER[:-1], _TERMS_FIRST, *items, _TERMS_LAST, _TERMS_MARKER[-1]))
+    return "".join(items)
+
+
+def _terms_text(terms, start: int, shared: str, labels: dict) -> str:
+    """A report's "terms" list as the document lays it out, from its
+    `"terms": []` marker on: its items before `start`, then `shared`, the
+    text of its items from `start` on."""
+    body = _items_text(terms[:start], labels) + shared
+    if not body:
+        return _TERMS_MARKER
+    return "".join((_TERMS_MARKER[:-1], _TERMS_FIRST, body[len(_TERMS_BETWEEN):],
+                    _TERMS_LAST, _TERMS_MARKER[-1]))
+
+
+def _shared_from(lists) -> int:
+    """Where the term lists start to hold the same objects as the first of
+    them, to the end; the longest length when they do not.  A T1
+    criterion's reports share one list (0), a T2 criterion's every term
+    after their four per-k sums (4)."""
+    first, size = lists[0], max(map(len, lists))
+    if any(len(terms) != size for terms in lists):
+        return size
+    start = next((at for at, term in enumerate(first)
+                  if all(terms[at] is term for terms in lists)), size)
+    same = all(all(map(is_, terms[start:], first[start:])) for terms in lists)
+    return start if same else size
 
 
 def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
@@ -247,8 +267,9 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     list, and each list is filled in from `_terms_layout`.  The skeleton
     splits at its `"terms": []` markers into one piece per report plus
     one: inside an encoded string every quote is escaped, so the marker
-    occurs at the reports' "terms" keys only.  Reports that share one term
-    list, as a T1 criterion's reports at every k do, have it encoded once.
+    occurs at the reports' "terms" keys only.  The terms that every list
+    shares (`_shared_from`) are encoded once, and so is each list that
+    several reports share.
     """
     skeleton = json.dumps(
         {
@@ -259,15 +280,16 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
         indent=2,
     )
     head, *tails = skeleton.split(_TERMS_MARKER)
+    # each distinct term list by its identity, kept alive while the document is written
+    lists = {id(r.terms): r.terms for r in reports}
+    texts, labels = {}, {}
+    if lists:
+        start = _shared_from([*lists.values()])
+        shared = _items_text(reports[0].terms[start:], labels)
+        texts = {key: _terms_text(terms, start, shared, labels) for key, terms in lists.items()}
     parts = [head]
-    # each term list's text by its identity; the entry holds the list, so
-    # no other list can take its id while the document is written
-    labels, texts = {}, {}
     for report, tail in zip(reports, tails, strict=True):
-        entry = texts.get(id(report.terms))
-        if entry is None:
-            entry = texts[id(report.terms)] = (report.terms, _terms_text(report.terms, labels))
-        parts += (entry[1], tail)
+        parts += (texts[id(report.terms)], tail)
     parts.append("\n")
     return "".join(parts)
 

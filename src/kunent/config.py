@@ -29,7 +29,9 @@ DIM_CAP_ENV_VAR = "KUNENT_DIM_CAP"
 #: State validation (`tensor`): Hermiticity deviation, |Tr rho - 1| and
 #: negative eigenvalue of a `DensityMatrix` (the last also bounds the
 #: rounding that `sandwich_trace` clamps to 0), and | |psi|^2 - 1 | of a
-#: `PureState`.
+#: `PureState`.  lambda_min >= -PSD_TOL is certified by a Cholesky factor of
+#: rho + (PSD_TOL - its error bound) I, and decided by `eigvalsh` only
+#: when that factorization fails (`tensor.DensityMatrix`).
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10

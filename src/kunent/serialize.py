@@ -7,11 +7,20 @@ A matrix over a composite space is stored as::
 with ``entries`` the row-major entries of the (prod dims) x (prod dims)
 matrix.  Single-site factors use ``dims = [d]``.  A product operator file
 holds a JSON array of N such factor objects.
+
+`load_density_matrix` decodes a state file laid out as `save_density_matrix`
+writes it (exactly these two keys, ``dims`` first, any whitespace, the same
+text between every two entries) as one flat array of numbers, without a
+Python list per entry or a loop over the entries.  Every other text goes
+through `json` and `matrix_from_dict`, which also word every error, and
+gets the same bits.  A loaded state is a `DensityMatrix`, whose checks
+decide positivity (see there).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from math import prod
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -80,9 +89,80 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
     return dims, flat.reshape(d, d)
 
 
+_WS = " \t\n\r"  # JSON's whitespace
+# the opening of a state file as `save_density_matrix` writes it, up to the entries' "["
+_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"dims"[ \t\n\r]*:[ \t\n\r]*(\[[^\[\]]*\])'
+                   r'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:[ \t\n\r]*\[')
+# deleting the characters of JSON numbers and whitespace leaves brackets and commas
+_SKELETON = str.maketrans("", "", "0123456789+-.eE" + _WS)
+_UNBRACKET = str.maketrans("[]", "  ")
+_CHUNK = 1 << 18  # characters of text per json.loads call: each copy stays small
+
+
+def _last(text: str, char: str, stop: int) -> int:
+    """The index of `char` when only whitespace follows it up to `stop`, else -1."""
+    while stop and text[stop - 1] in _WS:
+        stop -= 1
+    return stop - 1 if stop and text[stop - 1] == char else -1
+
+
+def _flat_entries(text: str) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """The dims and matrix of a state file laid out as `save_density_matrix`
+    writes it, or None for any other text and whenever a check fails, so
+    that `json` and `matrix_from_dict` decide (and word) it.
+
+    The entries' brackets and commas must be "[" + "[,],"*(n - 1) + "[,]]"
+    for n = prod(dims)^2, and the text between consecutive entries must be
+    one separator throughout, with no number in it or around the entries.
+    Then the inner brackets are turned into spaces and the text between
+    the outer ones is decoded as one JSON array, a chunk at a time, so
+    `json` still checks every number, and no full copy of the text is made.
+    """
+    head = _HEAD.match(text)
+    close = _last(text, "]", max(_last(text, "}", len(text)), 0))  # the entries' "]"
+    if head is None or close < head.end():
+        return None
+    dims = json.loads(head[1])
+    if not dims or any(type(x) is not int or x < 1 for x in dims):
+        return None
+    n, start = prod(dims) ** 2, head.end()  # start: just after the entries' "["
+    if 6 * n - 1 > close - start:  # shorter than n entries can be
+        return None
+    first = text.index("[", start)
+    last = text.rindex("]", start, close)
+    if text[start:first].strip(_WS) or text[last + 1:close].strip(_WS):
+        return None
+    if n > 1:
+        sep = text[text.index("]", start):text.index("[", first + 1) + 1]
+        if sep[1:-1].strip(_WS) != "," or text.count(sep, start, close) != n - 1:
+            return None
+    expected, at = "[,]," * n, 0  # the skeleton, one comma after each entry
+    flat, filled = np.empty(2 * n), 0
+    while start <= close:
+        cut = text.find(",", min(start + _CHUNK, close), close)
+        cut = close if cut < 0 else cut
+        piece = text[start:cut]
+        skeleton = piece.translate(_SKELETON) + ","
+        if not expected.startswith(skeleton, at):
+            return None
+        values = json.loads("[" + piece.translate(_UNBRACKET) + "]")
+        flat[filled:filled + len(values)] = values
+        at, filled, start = at + len(skeleton), filled + len(values), cut + 1
+    if at != len(expected) or not np.isfinite(flat).all():
+        return None
+    d = prod(dims)
+    return tuple(dims), flat.view(complex).reshape(d, d)
+
+
 def load_density_matrix(path: str | Path) -> DensityMatrix:
     with open(path, encoding="utf-8") as fh:
-        dims, mat = matrix_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        decoded = _flat_entries(text)
+    except (ValueError, OverflowError):  # json's errors, and numbers past float range
+        decoded = None
+    dims, mat = decoded or matrix_from_dict(json.loads(text))
+    del text  # several times the size of rho, so not kept through its checks
     return DensityMatrix(SiteDims(dims), mat)
 
 

@@ -103,6 +103,12 @@ def component_weights(signal_weights) -> np.ndarray:
     return np.concatenate([w, np.broadcast_to(1.0 - total, w.shape[:-1])[..., None]], axis=-1)
 
 
+def _check_signal_dims(dims: SiteDims, signals: Sequence[PureState]) -> None:
+    for psi in signals:
+        if psi.dims.dims != dims.dims:
+            raise ValueError(f"signal dims {psi.dims.dims} do not match family dims {dims.dims}")
+
+
 @dataclass(frozen=True, eq=False)
 class Mixture:
     """sum_i w_i |psi_i><psi_i| + (1 - sum w) I/D, held by its components.
@@ -122,11 +128,7 @@ class Mixture:
         weights = component_weights([w for w, _ in signals])
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        for _, psi in signals:
-            if psi.dims.dims != self.dims.dims:
-                raise ValueError(
-                    f"signal dims {psi.dims.dims} do not match family dims {self.dims.dims}"
-                )
+        _check_signal_dims(self.dims, [psi for _, psi in signals])
         object.__setattr__(self, "signals", signals)
 
     @property
@@ -163,7 +165,7 @@ class NoiseFamily:
     def __post_init__(self) -> None:
         if len(self.signals) != len(self.param_names):
             raise ValueError("one parameter name per signal state required")
-        Mixture(self.dims, tuple((0.0, psi) for psi in self.signals))  # checks signal dims
+        _check_signal_dims(self.dims, self.signals)
 
     def evaluate(self, *weights: float) -> Mixture:
         """The point with one weight per signal, held by its components."""

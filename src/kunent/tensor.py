@@ -50,7 +50,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, dim_cap
+from .config import HERMITICITY_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, dim_cap, summation_gamma
 
 __all__ = [
     "SiteDims",
@@ -201,10 +201,24 @@ class PureState:
 class DensityMatrix:
     """Dense density operator with recorded per-site dimensions.
 
-    Hermiticity and unit trace are always verified.  Positivity is verified
-    via full eigendecomposition when constructed from raw entries; convex
+    Hermiticity and unit trace are always verified.  Positivity, lambda_min
+    >= -PSD_TOL, is verified when constructed from raw entries; convex
     mixtures of already-valid states pass ``_check_psd=False`` because
     convexity preserves positivity.
+
+    Positivity is first tried by a Cholesky factorization of A = rho + s I
+    (its lower triangle, which `eigvalsh` reads too), with s = PSD_TOL
+    minus a bound on the factorization's backward error.  If it succeeds,
+    R^H R = A + dA with ||dA||_2 <= gamma ||R||_F^2 <= gamma tr A / (1 -
+    gamma) (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., Thm 10.3: gamma = gamma_{D+1} for any order of the inner products,
+    so for blocked LAPACK too; complex arithmetic adds at most 2 to the
+    index, sec. 3.6), and forming A moves its diagonal by at most u tr A.
+    The trace check gives tr A <= 1 + TRACE_TOL + D PSD_TOL up to rounding,
+    so bound = 2 gamma_{D+3} (1 + TRACE_TOL + D PSD_TOL) covers both (about
+    9e-13 at D = 4096) and a success certifies lambda_min(rho) >= -s -
+    bound = -PSD_TOL.  Only when the factorization fails does `eigvalsh`
+    decide, and word the error.
     """
 
     dims: SiteDims
@@ -224,10 +238,26 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        if self._check_psd:
+        if self._check_psd and not _cholesky_psd(mat):
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < -PSD_TOL:
                 raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+
+
+def _cholesky_psd(mat: np.ndarray) -> bool:
+    """Whether rho + s I has a Cholesky factor, which certifies lambda_min
+    >= -PSD_TOL for a checked rho; see `DensityMatrix`."""
+    d = len(mat)
+    bound = 2.0 * summation_gamma(d + 3) * (1.0 + TRACE_TOL + d * PSD_TOL)
+    shifted = mat.copy()
+    shifted.ravel()[:: d + 1] += PSD_TOL - bound
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    # a NaN pivot passes a "<= 0" test, which some LAPACK builds make
+    # without an isnan; any NaN or inf of the factor reaches its diagonal
+    return bool(np.isfinite(factor.diagonal()).all())
 
 
 @dataclass(frozen=True)

@@ -134,3 +134,34 @@ def test_shared_and_unshared_lists_of_one_length():
         reps = [CriterionReport("T2", 1, 0.0, 0.0, 0.0, False, _terms([k + 0.5] * 4)),
                 CriterionReport("T2", 2, 0.0, 0.0, 0.0, False, _terms([k - 0.5] * 4))]
         assert _reports_json("again", reps) == encoded("again", reps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=texts, heads=st.lists(st.lists(st.tuples(texts, floats), max_size=3), max_size=4),
+       tail=st.lists(st.tuples(texts, floats), max_size=5), signs=st.lists(st.booleans()))
+def test_shared_tails_match_json_dumps(label, heads, tail, signs):
+    # lists that end in the same term objects, as a T2 criterion's reports
+    # do, have that tail encoded once; a tail rebuilt with 0.0 and -0.0
+    # swapped is equal to it but must be written as itself
+    tail = tuple(tail)
+    flipped = tuple((name, -value if value == 0 else value) for name, value in tail)
+    reps = [CriterionReport("T2", k, 0.0, 0.0, 0.0, False,
+                            tuple(head) + (flipped if k < len(signs) and signs[k] else tail))
+            for k, head in enumerate(heads)]
+    assert _reports_json(label, reps) == encoded(label, reps)
+
+
+def test_shared_from_finds_the_common_tail_by_identity():
+    tail = _terms([0.5, 0.0, float("nan")])
+    lists = [_terms([float(k)], "sum") + tail for k in range(3)]
+    assert cli._shared_from(lists) == 1
+    assert cli._shared_from(lists[:1]) == 0
+    # equal is not enough: each rebuilt term is another object
+    assert cli._shared_from([lists[0], _terms([1.0], "sum") + _terms([0.5, 0.0, float("nan")])]) == 4
+    assert cli._shared_from([lists[0], lists[1][:-1]]) == 4
+    # the same objects but one, whose value is equal and written otherwise
+    other = lists[1][:-2] + (("alpha={1}", -0.0),) + lists[1][-1:]
+    assert other == lists[1] and cli._shared_from([lists[0], other]) == 4
+    reps = [CriterionReport("T2", k, 0.0, 0.0, 0.0, False, terms)
+            for k, terms in enumerate((lists[0], other))]
+    assert _reports_json("x", reps) == encoded("x", reps)

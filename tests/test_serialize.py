@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kunent import ProductOperator, qubits
+from kunent import DensityMatrix, ProductOperator, SiteDims, qubits, qudits
 from kunent.serialize import (
+    _flat_entries,
     load_density_matrix,
     load_factor,
     load_product_operator,
@@ -134,3 +138,152 @@ class TestProductOperatorIO:
         path.write_text(json.dumps({"dims": [2], "entries": [[1, 0]] * 4}))
         with pytest.raises(ValueError, match="array"):
             load_product_operator(path)
+
+
+# ------------------------------------------------- flat route == json route
+
+# a valid 2-qubit state, as the tokens of its [re, im] pairs
+_STATE = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+_STATE[0, 1], _STATE[1, 0] = 0.05 + 0.02j, 0.05 - 0.02j
+_PAIRS = [[repr(z.real), repr(z.imag)] for z in _STATE.ravel().tolist()]
+
+
+def _text(pairs=_PAIRS, sep=", ", head='{"dims": [2, 2], "entries": [', tail="]}") -> str:
+    return head + sep.join("[" + ", ".join(p) + "]" for p in pairs) + tail
+
+
+def _with(at, *tokens) -> str:
+    pairs = [list(p) for p in _PAIRS]
+    pairs[at] = list(tokens)
+    return _text(pairs)
+
+
+def _outcome(load):
+    """The dims and matrix bits of a load, or its error's type and message."""
+    try:
+        rho = load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rho.dims.dims, rho.mat.tobytes()
+
+
+def _json_route(path):
+    """The load as json.load and matrix_from_dict alone make it."""
+    with open(path, encoding="utf-8") as fh:
+        dims, mat = matrix_from_dict(json.load(fh))
+    return DensityMatrix(SiteDims(dims), mat)
+
+
+VALID = {
+    "dumps": json.dumps(matrix_to_dict(_STATE, [2, 2])),
+    "indent": json.dumps(matrix_to_dict(_STATE, [2, 2]), indent=2),
+    "compact": json.dumps(matrix_to_dict(_STATE, [2, 2]), separators=(",", ":")),
+    "crlf": _text(sep=",\r\n\t", head=' \n{ "dims" :[ 2,2 ] ,\r"entries":\t[ ', tail=" ] }\n\n"),
+    "int and -0.0": _with(15, "0.1", "-0.0").replace("[0.0, 0.0]", "[0, -0]"),
+    "1E+05": _with(2, "1E+05", "-1e-05"),
+    "2**53 + 1": _with(3, str(2**53 + 1), str(-(2**70) - 1)),
+    "keys swapped": '{"entries": ' + _text(head="[", tail="]") + ', "dims": [2, 2]}',
+    "extra key": _text(tail='], "note": "x"}'),
+    "uneven separators": _text(sep=", ").replace("], [", "],[", 1),
+}
+MALFORMED = {
+    "true": _with(5, "true", "0.0"),
+    "null": _with(5, "0.0", "null"),
+    "string": _with(5, '"1"', "0.0"),
+    "three numbers": _with(5, "0.0", "0.0", "0.0"),
+    "one number": _with(5, "0.0"),
+    "+1": _with(5, "+1", "0.0"),
+    "01": _with(5, "01", "0.0"),
+    ".5": _with(5, ".5", "0.0"),
+    "1.": _with(5, "1.", "0.0"),
+    "NaN": _with(5, "NaN", "0.0"),
+    "Infinity": _with(5, "0.0", "-Infinity"),
+    "1e400": _with(5, "1e400", "0.0"),
+    "10**400": _with(5, str(10**400), "0.0"),
+    "trailing comma": _text(tail=",]}"),
+    "truncated": _text()[:-9],
+    "too few entries": _text(_PAIRS[:-1]),
+    "too many entries": _text(_PAIRS + _PAIRS[:1]),
+    # a number outside its pair, next to an empty slot: the flat array alone
+    # would read four numbers from these
+    "number after a pair": _with(5, "0.0", "").replace(", ], [", ", ]0.0, [", 1),
+    "number before a pair": _with(6, "", "0.0").replace("], [, ", "], 0.0[, ", 1),
+    "number before the first pair": _with(0, "", "0.0").replace("[[", "[0.4 [", 1),
+    "number after the last pair": _with(15, "0.1", "").replace("]]}", "] 0.0]}"),
+    "three numbers, then one": _with(5, "0.0", "0.0", "0.0").replace("[0.0, 0.0]", "[0.0]", 1),
+    "dims not integers": _text(head='{"dims": [2.0, 2], "entries": ['),
+    "dims of a bigger state": _text(head='{"dims": [4, 4], "entries": ['),
+    "one site": _text(head='{"dims": [4], "entries": ['),
+    "trailing text": _text(tail="]} x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID) + sorted(MALFORMED))
+def test_load_matches_json_route(tmp_path, name):
+    text = {**VALID, **MALFORMED}[name]
+    path = tmp_path / "rho.json"
+    path.write_text(text, encoding="utf-8")
+    outcome = _outcome(lambda: load_density_matrix(path))
+    assert outcome == _outcome(lambda: _json_route(path))
+    assert (outcome[0] == (2, 2)) == (name in VALID and name not in {"1E+05", "2**53 + 1"})
+
+
+@pytest.mark.parametrize("name", ["dumps", "indent", "compact", "crlf", "int and -0.0",
+                                  "1E+05", "2**53 + 1"])
+def test_save_layout_takes_the_flat_route(name):
+    # decoded as one flat array, to the bits of the json route's matrix
+    dims, mat = _flat_entries(VALID[name])
+    want_dims, want = matrix_from_dict(json.loads(VALID[name]))
+    assert dims == want_dims and mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(set(MALFORMED) - {"one site"})
+                         + ["keys swapped", "extra key", "uneven separators"])
+def test_other_texts_take_the_json_route(name):
+    text = {**VALID, **MALFORMED}[name]
+    try:
+        assert _flat_entries(text) is None
+    except (ValueError, OverflowError):
+        pass  # load_density_matrix takes these to the json route too
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       data=st.data(), indent=st.sampled_from([None, 0, 1, "\t"]))
+def test_flat_route_decodes_json_floats_bit_for_bit(dims, data, indent):
+    d = int(np.prod(dims))
+    pairs = data.draw(st.lists(st.tuples(finite, finite), min_size=d * d, max_size=d * d))
+    text = json.dumps({"dims": dims, "entries": [list(p) for p in pairs]}, indent=indent)
+    got, want = _flat_entries(text), matrix_from_dict(json.loads(text))
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_save_load_round_trip_bit_for_bit(tmp_path_factory, dims, seed):
+    rho = random_mixed_state(SiteDims(tuple(dims)), np.random.default_rng(seed))
+    path = tmp_path_factory.mktemp("rt") / "rho.json"
+    save_density_matrix(rho, path)
+    back = load_density_matrix(path)
+    assert back.dims == rho.dims and back.mat.tobytes() == rho.mat.tobytes()
+
+
+def test_flat_route_peaks_no_higher_than_json_route(tmp_path):
+    # D = 256: the text is about 3 MB, and the json route builds a list per entry
+    rho = random_mixed_state(qudits(4, 4), np.random.default_rng(7))
+    path = tmp_path / "rho.json"
+    save_density_matrix(rho, path)
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert _flat_entries(path.read_text(encoding="utf-8")) is not None
+    assert peak(lambda: load_density_matrix(path)) <= peak(lambda: _json_route(path))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from math import sqrt
 
 import numpy as np
@@ -28,7 +29,7 @@ from kunent import (
     WhiteNoise,
 )
 from kunent.criteria import ghz_probe
-from kunent.states import _product_amplitudes, _random_blocks, component_weights
+from kunent.states import NoiseFamily, _product_amplitudes, _random_blocks, component_weights
 
 from conftest import random_product_operator
 
@@ -198,6 +199,16 @@ class TestNoiseFamilies:
         assert point.weights.tolist() == [*weights, 1.0 - sum(weights)]
         assert all(c is psi for c, psi in zip(point.components, fam.signals))
         assert np.array_equal(point.dense().mat, mix(list(zip(weights, fam.signals)), fam.dims).mat)
+
+    def test_signal_dims_checked_without_a_mixture(self, monkeypatch):
+        # the family checks its signals itself, with the words a Mixture uses
+        message = re.escape("signal dims (2, 2, 2) do not match family dims (2, 2)")
+        with pytest.raises(ValueError, match=message):
+            Mixture(qubits(2), ((0.0, ghz(3)),))
+        monkeypatch.setattr(Mixture, "__post_init__", None)  # building one fails
+        with pytest.raises(ValueError, match=message):
+            NoiseFamily(qubits(2), (ghz(2), ghz(3)), ("p", "q"))
+        NoiseFamily(qubits(3), (ghz(3),), ("p",))
 
     def test_w_family_param_count(self):
         fam = w_noise_family(3, 3)

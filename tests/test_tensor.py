@@ -24,7 +24,7 @@ from kunent import (
     sandwich_trace,
     subset_trace_sweep,
 )
-from kunent.config import DIM_CAP_ENV_VAR
+from kunent.config import DIM_CAP_ENV_VAR, PSD_TOL
 
 from conftest import random_mixed_state, random_product_operator
 
@@ -236,6 +236,47 @@ class TestStateValidation:
                 DensityMatrix(qubits(2), mat)
         else:
             DensityMatrix(qubits(2), mat)
+
+    def test_rank_one_projector_passes_by_cholesky(self, monkeypatch):
+        # singular, so only the shift s = PSD_TOL - bound lets it factor
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        psi /= np.linalg.norm(psi)
+
+        def eigvalsh(a):
+            raise AssertionError("the eigvalsh fallback ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        DensityMatrix(qubits(10), np.outer(psi, psi.conj()))
+
+    def test_eigvalsh_decides_what_cholesky_cannot(self, monkeypatch):
+        # -PSD_TOL (1 - 1e-6) is within the tolerance, but the shift is
+        # PSD_TOL minus the error bound, so the factorization fails
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        lam = PSD_TOL * (1 - 1e-6)
+        DensityMatrix(qubits(2), np.diag([0.5 + lam, 0.5, 0.0, -lam]).astype(complex))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale, rejected", [(1 - 1e-3, False), (1 + 1e-3, True)])
+    def test_rotated_eigenvalue_at_the_tolerance(self, scale, rejected):
+        # the same decision in a random eigenbasis, where no entry is 0
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        lam = PSD_TOL * scale
+        mat = (q * np.r_[np.full(15, (1 + lam) / 15), -lam]) @ q.conj().T
+        mat = (mat + mat.conj().T) / 2
+        if rejected:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(qubits(4), mat)
+        else:
+            DensityMatrix(qubits(4), mat)
+
+    def test_non_finite_factor_defers_to_eigvalsh(self, monkeypatch):
+        # a LAPACK whose pivot test misses NaN returns a NaN factor without an error
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.nan))
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            DensityMatrix(qubits(2), np.diag([0.8, 0.7, -0.5, 0.0]).astype(complex))
 
     def test_psd_check_skippable_for_mixtures(self):
         mat = np.diag([0.8, 0.7, -0.5, 0.0]).astype(complex)
