@@ -283,20 +283,13 @@ def _tuple_labels(kind: str, n: int, big_t: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=64)
-def _t2_term_layout(n: int, big_t: int) -> tuple[tuple[str, ...], np.ndarray]:
+def _t2_term_labels(n: int, big_t: int) -> tuple[str, ...]:
     """Labels of the per-tuple and per-site terms a T2 report lists after
-    its four sums, cross then pair for each tuple, then site[s=..,i=..];
-    and, read-only, each term's index into the |cross|, sqrt(base * pair)
-    and clamped site values of `_evaluate`, laid end to end."""
+    its four sums, cross then pair for each tuple, then site[s=..,i=..]."""
     cross, pair = _tuple_labels("cross", n, big_t), _tuple_labels("pair", n, big_t)
-    labels = tuple(label for both in zip(cross, pair) for label in both) + tuple(
+    return tuple(label for both in zip(cross, pair) for label in both) + tuple(
         f"site[s={s + 1},i={i + 1}]" for s in range(big_t) for i in range(n)
     )
-    listed, size = _tuple_layout(n, big_t)[2], big_t * big_t * n * n
-    order = np.concatenate((np.stack((listed, size + listed), axis=-1).reshape(-1),
-                            np.arange(2 * size, 2 * size + big_t * n)))
-    order.setflags(write=False)
-    return labels, order
 
 
 class _Criterion:
@@ -473,15 +466,20 @@ class Theorem2Evaluator(_Criterion):
         base = float(np.einsum("ab,ba->", r_site[0], baseline[0]).real)
         return Theorem2Traces(n, big_t, cross, pair, site, base)
 
+    def _tuples(self, traces: Theorem2Traces) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, |cross| and max(base, 0) * max(pair, 0): each tuple's two sides."""
+        flat = (*np.shape(traces.base), -1)
+        base = np.maximum(traces.base, 0.0)[..., None]
+        return np.abs(traces.cross.reshape(flat)), base * np.maximum(traces.pair.reshape(flat), 0.0)
+
     def _evaluate(self, traces: Theorem2Traces, k, inverse=None):
         """Margins, the rhs pair and site sums, and per column the |cross|,
         sqrt(base * pair) and clamped site traces a report lists."""
         n, big_t = traces.n, traces.n_omega
         at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
         summed = _tuple_layout(n, big_t)[3]
-        base = np.maximum(traces.base, 0.0)
-        cross = np.abs(traces.cross.reshape(flat))
-        pair = np.sqrt(base[..., None] * np.maximum(traces.pair.reshape(flat), 0.0))
+        cross, pair = self._tuples(traces)
+        pair = np.sqrt(pair)
         site = np.maximum(traces.site.reshape(flat), 0.0)
         lhs = np.sum(_gather(cross, at("cross"), summed), axis=-1)
         rhs_pairs = np.sum(_gather(pair, at("pair"), summed), axis=-1)
@@ -495,8 +493,9 @@ class Theorem2Evaluator(_Criterion):
     def _terms(self, traces: Theorem2Traces, m: Margins, rhs_pairs, rhs_sites, cross, pair, site):
         """Each k's four sums, then the tuple and site terms, one tuple that
         every k's report shares."""
-        labels, order = _t2_term_layout(traces.n, traces.n_omega)
-        shared = tuple(zip(labels, np.concatenate((cross, pair, site)).take(order).tolist()))
+        listed = _tuple_layout(traces.n, traces.n_omega)[2]
+        values = np.array((cross[listed], pair[listed])).T.reshape(-1).tolist() + site.tolist()
+        shared = tuple(zip(_t2_term_labels(traces.n, traces.n_omega), values))
         lhs, pairs, base = float(m.lhs), float(rhs_pairs), max(float(traces.base), 0.0)
         return [(("lhs_sum", lhs), ("rhs_pair_sum", pairs), ("rhs_site_sum", sites),
                  ("base", base)) + shared for sites in np.ravel(rhs_sites).tolist()]
@@ -522,12 +521,10 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
 
     def _evaluate(self, traces: Theorem2Traces, k, inverse=None) -> tuple[Margins, np.ndarray]:
         """Margins plus every tuple margin |cross|^2 - base * pair."""
-        at, flat = (inverse or {}).get, (*np.shape(traces.base), -1)
-        listed = _tuple_layout(traces.n, traces.n_omega)[2]
-        base = np.maximum(traces.base, 0.0)
-        lhs = _gather(np.abs(traces.cross.reshape(flat)) ** 2, at("cross"), listed)
-        rhs = _gather(base[..., None] * np.maximum(traces.pair.reshape(flat), 0.0),
-                      at("pair"), listed)
+        at, listed = (inverse or {}).get, _tuple_layout(traces.n, traces.n_omega)[2]
+        cross, pair = self._tuples(traces)
+        lhs = _gather(cross ** 2, at("cross"), listed)
+        rhs = _gather(pair, at("pair"), listed)
         tuples = lhs - rhs
         # witness: the first largest tuple margin; lhs/rhs are reported for it
         best = np.argmax(tuples, axis=-1)[..., None]
@@ -539,10 +536,9 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
 
     def _terms(self, traces: Theorem2Traces, m: Margins, tuples: np.ndarray):
         """The witness tuple's margin, then every tuple margin."""
-        n, big_t = traces.n, traces.n_omega
-        witness = _tuple_labels("max_margin", n, big_t)[int(np.argmax(tuples))]
-        return repeat(((witness, float(m.margin)),
-                       *zip(_tuple_labels("margin", n, big_t), tuples.tolist())))
+        labels = _tuple_labels("margin", traces.n, traces.n_omega)
+        return repeat((("max_" + labels[int(np.argmax(tuples))], float(m.margin)),
+                       *zip(labels, tuples.tolist())))
 
 
 # --------------------------------------------------------------------------

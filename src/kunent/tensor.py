@@ -22,7 +22,9 @@ matrix.  Two kernels do the contracting: `subset_trace_sweep` gives every
 closed trace (`product_trace`, and through it `sandwich_trace` and
 `cross_trace`, are its case of one choice per site), and `pair_blocks` the
 two-site blocks.  `pair_blocks` takes sites of one dimension only and always
-returns all P = N(N-1)/2 site pairs.  Costs per representation:
+returns all P = N(N-1)/2 site pairs.  Both kernels check their factors
+through one helper, `_checked_factors`: as many sites as the state, and at
+each site one or more factors of its dimension.  Costs per representation:
 
 - dense: O(D^2) time per trace, and per pair block of `pair_blocks`, which
   still contracts (and copies) rho once per pair; a sweep of two choices
@@ -332,14 +334,7 @@ def subset_trace_sweep(
     """
     dims = rho.dims.dims
     n = len(dims)
-    if len(choices) != n:
-        raise ValueError(f"{len(choices)} sites of factors do not match the state's {n} sites")
-    choices = [[np.asarray(g, dtype=complex) for g in site] for site in choices]
-    if not all(choices) or not all(g.shape == (d, d) for d, site in zip(dims, choices) for g in site):
-        for i, (d, site) in enumerate(zip(dims, choices), start=1):  # to word the error
-            if not site or any(g.shape != (d, d) for g in site):
-                shapes = [g.shape for g in site]
-                raise ValueError(f"factor shapes {shapes} do not match site {i} of dimension {d}")
+    choices = _checked_factors(dims, choices)
     if isinstance(rho, WhiteNoise):
         out = np.array([1.0 / rho.dims.total_dim])
         for site in choices:
@@ -358,15 +353,28 @@ def subset_trace_sweep(
         for dm, site in zip(dims[1:], choices[1:]):
             blocks, rest = stack.shape[0], stack.shape[1] // dm
             view = stack.reshape(blocks, dm, rest, dm, rest)
-            if len(site) == 1:
-                stack = np.einsum("karbs,ba->krs", view, site[0])
-                continue
             stack = np.empty((len(site), blocks, rest, rest), dtype=complex)
             for s, w in enumerate(site):
                 np.einsum("karbs,ba->krs", view, w, out=stack[s])
             stack = stack.reshape(-1, rest, rest)
         out[c::len(choices[0])] = stack.reshape(-1)
     return out
+
+
+def _checked_factors(dims: tuple[int, ...], choices) -> list[list[np.ndarray]]:
+    """`choices`, one or more candidate factors per site, as complex arrays;
+    raises unless there is one nonempty sequence of (d, d) factors for each
+    site of `dims`."""
+    n = len(dims)
+    if len(choices) != n:
+        raise ValueError(f"{len(choices)} sites of factors do not match the state's {n} sites")
+    choices = [[np.asarray(g, dtype=complex) for g in site] for site in choices]
+    if not all(choices) or not all(g.shape == (d, d) for d, site in zip(dims, choices) for g in site):
+        for i, (d, site) in enumerate(zip(dims, choices), start=1):  # to word the error
+            if not site or any(g.shape != (d, d) for g in site):
+                shapes = [g.shape for g in site]
+                raise ValueError(f"factor shapes {shapes} do not match site {i} of dimension {d}")
+    return choices
 
 
 def _choice_stack(amplitudes, dims, sites, choices, dagger: bool) -> np.ndarray:
@@ -402,6 +410,7 @@ def pair_blocks(rho: State, baseline: Sequence[np.ndarray]) -> np.ndarray:
     dims = rho.dims.dims
     n = len(dims)
     kept = rho.dims.uniform() ** 2
+    baseline = [site[0] for site in _checked_factors(dims, [(b,) for b in baseline])]
     pairs = tuple(combinations(range(n), 2))
     if isinstance(rho, WhiteNoise):
         # scalar products, left to right: numpy's complex array multiply

@@ -310,6 +310,19 @@ class TestEval:
         )
         assert code == 2
 
+    def test_unknown_spec_parameter_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--rho", "ghz:3:q=0.5")
+        assert code == 2 and out == ""
+        assert err == "error: unknown parameter 'q' (allowed: p)\n"
+
+    def test_missing_probe_file_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "eval", "--rho", "ghz:3", "--x", str(missing),
+                                 "--y", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert str(missing) in err
+
     @pytest.mark.parametrize("spec", ["ghz:4:p=0.5,p=0.9", "w:4:3:p=0.2,q=0.1,p=0.3"])
     def test_repeated_spec_parameter_exit_2(self, capsys, spec):
         # neither value may silently win

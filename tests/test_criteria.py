@@ -76,6 +76,12 @@ class TestSwapOnSubset:
         assert_allclose(b.factors[1], x.factors[1])
         assert_allclose(b.factors[2], y.factors[2])
 
+    def test_x_and_y_on_different_dims(self, rng):
+        x = random_product_operator(qubits(2), rng)
+        y = random_product_operator(SiteDims((2, 3)), rng)
+        with pytest.raises(ValueError, match=r"^x and y must share site dimensions$"):
+            swap_on_subset(x, y, {1})
+
     def test_out_of_range(self, rng):
         # sites are integers in 1..N: 0, N + 1, 1.9 and True are rejected, not
         # truncated or read as site 1
@@ -238,6 +244,12 @@ class TestTheorem1Margin:
         x = ProductOperator(dims, (eye,) * 17)
         with pytest.raises(ValueError, match="budget"):
             Theorem1Evaluator(x, x)
+
+    def test_x_and_y_on_different_dims(self, rng):
+        x = random_product_operator(qubits(3), rng)
+        y = random_product_operator(qubits(2), rng)
+        with pytest.raises(ValueError, match=r"^x and y must share site dimensions$"):
+            Theorem1Evaluator(x, y)
 
     def test_k_out_of_range(self, rng):
         dims = qubits(3)
@@ -528,6 +540,11 @@ class TestCertificateRule:
         assert not certified(allowance, scale, terms, dim)
         assert certified(np.nextafter(allowance, np.inf), scale, terms, dim)
 
+    def test_no_rounding_bound_past_unit_roundoff(self):
+        assert summation_gamma(2**53 - 1) > 0
+        with pytest.raises(ValueError, match=r"^no rounding bound for a sum of 9007199254740992 terms$"):
+            summation_gamma(2**53)
+
     def test_t2_k1_positive_margin_below_allowance_is_not_a_certificate(self):
         # every tuple margin is |cross|^2 - base * pair = 1 - (1 - 2^-50) = 2^-50:
         # positive, so a bare `margin > 0` would certify, but far below the allowance
@@ -577,6 +594,29 @@ class TestCertificateSoundness:
                 old_rule += rep.margin > DETECTION_TOL
         if n >= 4:
             assert old_rule > 0  # the absolute rule certified some of these
+
+    @pytest.mark.parametrize("theorem", ["T2", "T2_k1"])
+    @pytest.mark.parametrize("seed,route", [(5, "pure"), (5, "dense"), (101, "pure")])
+    def test_detection_floor_is_needed(self, theorem, seed, route):
+        # x = a x a with omega = {a} on a product of two qubits: every tuple
+        # margin is 0, and rounding leaves a margin (9.99e-16 for T2 at seed 5,
+        # 3.11e-15 at seed 101) above the gamma * scale allowance (6.3e-16,
+        # 3.0e-15).  Only DETECTION_TOL refuses these false certificates;
+        # interval bounds on the traces may replace it, nothing less
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        kets = []
+        for _ in range(2):
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            kets.append(z / np.linalg.norm(z))
+        dims = qubits(2)
+        rho = PureState(dims, np.kron(*kets))
+        if route == "dense":
+            rho = rho.to_density_matrix()
+        cls, terms = {"T2": (Theorem2Evaluator, 4), "T2_k1": (Theorem2K1Evaluator, 2)}[theorem]
+        rep = cls(ProductOperator(dims, (a, a)), [a]).evaluate(rho, 1)
+        assert not rep.detected
+        assert summation_gamma(terms + 4) * max(rep.lhs, rep.rhs) < rep.margin < DETECTION_TOL
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_random_site_probes_never_certify(self, n):

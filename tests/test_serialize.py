@@ -40,6 +40,10 @@ class TestMatrixSchema:
         obj = matrix_to_dict(mat, [2])
         assert obj["entries"] == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]
 
+    def test_writer_checks_shape_against_dims(self):
+        with pytest.raises(ValueError, match=r"^matrix shape \(3, 3\) does not match dims \[2, 2\]$"):
+            matrix_to_dict(np.eye(3), [2, 2])
+
     def test_entry_count_validated(self):
         with pytest.raises(ValueError, match="entries"):
             matrix_from_dict({"dims": [2], "entries": [[1.0, 0.0]] * 3})

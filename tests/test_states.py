@@ -29,7 +29,13 @@ from kunent import (
     WhiteNoise,
 )
 from kunent.criteria import ghz_probe
-from kunent.states import NoiseFamily, _product_amplitudes, _random_blocks, component_weights
+from kunent.states import (
+    NoiseFamily,
+    _product_amplitudes,
+    _random_blocks,
+    component_weights,
+    random_k_unentangled_terms,
+)
 
 from conftest import random_product_operator
 
@@ -101,6 +107,10 @@ class TestShiftSigma:
     def test_order_d(self):
         sigma = shift_sigma(4)
         assert_allclose(np.linalg.matrix_power(sigma, 4), np.eye(4))
+
+    def test_rejects_d_below_2(self):
+        with pytest.raises(ValueError, match=r"^shift needs d >= 2, got 1$"):
+            shift_sigma(1)
 
 
 class TestWTilde:
@@ -210,6 +220,10 @@ class TestNoiseFamilies:
             NoiseFamily(qubits(2), (ghz(2), ghz(3)), ("p", "q"))
         NoiseFamily(qubits(3), (ghz(3),), ("p",))
 
+    def test_one_parameter_name_per_signal(self):
+        with pytest.raises(ValueError, match=r"^one parameter name per signal state required$"):
+            NoiseFamily(qubits(2), (ghz(2), ghz(2)), ("p",))
+
     def test_w_family_param_count(self):
         fam = w_noise_family(3, 3)
         with pytest.raises(ValueError, match="parameters"):
@@ -263,6 +277,10 @@ class TestRandomKUnentangled:
             rep = Theorem1Evaluator(x, y).evaluate(rho, 3)
             assert not rep.detected
             assert rep.margin <= 1e-12
+
+    def test_rejects_no_terms(self):
+        with pytest.raises(ValueError, match=r"^terms must be >= 1, got 0$"):
+            random_k_unentangled_terms(qubits(3), 1, 0, np.random.default_rng(0))
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

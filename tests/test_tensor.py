@@ -149,6 +149,10 @@ class TestProductOperator:
         with pytest.raises(ValueError, match="factor for site 2"):
             ProductOperator(qubits(2), (I2, np.eye(3)))
 
+    def test_factor_count_validated(self):
+        with pytest.raises(ValueError, match=r"^expected 2 factors, got 1$"):
+            ProductOperator(qubits(2), (I2,))
+
     def test_rejects_nonfinite(self):
         bad = np.array([[np.inf, 0], [0, 0]])
         with pytest.raises(ValueError, match="finite"):
@@ -322,6 +326,15 @@ class TestSandwichTrace:
                 expected = np.trace(dense.conj().T @ rho.mat @ dense).real
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_rounding_below_zero_reads_zero(self):
+        # lambda_min = -5e-11 is within PSD_TOL, so the state is accepted, and
+        # its Tr[rho M M^dag] = rho[3, 3] = -5e-11 is rounding: it reads 0.0
+        rho = DensityMatrix(qubits(2), np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]))
+        ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
+        value = sandwich_trace(rho, ProductOperator(qubits(2), (ket1, ket1)))
+        assert value == 0.0 and not np.signbit(value)
+        assert product_trace(rho, [ket1, ket1]) == -5e-11
+
     def test_dimension_mismatch(self, rng):
         rho = random_mixed_state(qubits(2), rng)
         m = random_product_operator(qubits(3), rng)
@@ -427,8 +440,8 @@ class TestSweep:
 
 
 class TestKernelArguments:
-    """Every closed-trace kernel rejects a wrong factor count or a factor of
-    the wrong shape, on each representation, through the sweep's one check."""
+    """Every kernel rejects a wrong factor count or a factor of the wrong
+    shape, on each representation, through one check."""
 
     DIMS = SiteDims((2, 3))
 
@@ -454,6 +467,24 @@ class TestKernelArguments:
         for rho in self._states(rng):
             with pytest.raises(ValueError, match=r"\[\] do not match site 2"):
                 subset_trace_sweep(rho, [(I2,), ()])
+
+    @pytest.mark.parametrize("rep", ["white-noise", "pure", "dense"])
+    @pytest.mark.parametrize("baseline,message", [
+        ([I2] * 4, "4 sites of factors do not match the state's 3 sites"),
+        ([I2] * 2, "2 sites of factors do not match the state's 3 sites"),
+        ([np.eye(3)] * 3, r"factor shapes \[\(3, 3\)\] do not match site 1 of dimension 2"),
+    ], ids=["too-many", "too-few", "wrong-shape"])
+    def test_pair_blocks(self, rep, baseline, message):
+        # pair blocks once took these unchecked: on white noise, 4, 2 and 3 x 3
+        # identity factors gave block traces of 2.0, 0.5 and 1.5 instead of
+        # 1.0; a pure or dense state ignored a 4th factor and met the others
+        # with a numpy IndexError or reshape error
+        from kunent import ghz
+
+        rho = {"white-noise": WhiteNoise(qubits(3)), "pure": ghz(3),
+               "dense": ghz(3).to_density_matrix()}[rep]
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            pair_blocks(rho, baseline)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2)])
     def test_operators_on_other_sites(self, rng, dims):

@@ -162,6 +162,14 @@ class TestBisection:
         with pytest.raises(ValueError, match="mixture weight"):
             bisection_threshold(fam, ev, 1, fixed=(weight,))
 
+    @pytest.mark.parametrize("params,got", [([0.2], r"\(1,\)"), ([0.1, 0.2, 0.3], r"\(3,\)"),
+                                            (0.2, "a scalar")], ids=["short", "long", "scalar"])
+    def test_parameter_count_checked(self, params, got):
+        fam = w_noise_family(3, 3)
+        fm = FamilyMargin(fam, Theorem2Evaluator(*w_probe(fam.dims)))
+        with pytest.raises(ValueError, match=rf"^family takes 2 parameters, got {got}$"):
+            fm.margins(params, 1)
+
     def test_non_finite_family_weight_raises(self):
         fam = w_noise_family(3, 3)
         fm = FamilyMargin(fam, Theorem2Evaluator(*w_probe(fam.dims)))
@@ -319,6 +327,10 @@ class TestBoundaryScan:
     def test_k_checked_as_given(self, k, message):
         with pytest.raises(ValueError, match=message):
             pq_boundary_scan(4, 2, k, 2)
+
+    def test_probe_must_be_a_scan_preset(self):
+        with pytest.raises(ValueError, match=r"^probe must be 'w' or 'wtilde', got 'x'$"):
+            pq_boundary_scan(4, 2, 1, 2, probe="x")
 
     def test_gridline_one_has_no_crossing(self):
         rows = pq_boundary_scan(4, 3, 1, grid=2)
