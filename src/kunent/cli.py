@@ -30,7 +30,6 @@ from dataclasses import replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite, log2
-from operator import is_
 from os.path import commonprefix, isfile
 from typing import Sequence
 
@@ -47,7 +46,7 @@ from .criteria import (
 )
 from .oracle import oracle_check
 from .serialize import load_density_matrix, load_factor, load_product_operator
-from .states import W_PARAMS, Mixture, ghz_noise_family, w_noise_family
+from .states import Mixture, ghz_noise_family, w_noise_family
 from .tensor import DensityMatrix, SiteDims, qubits
 from .thresholds import (
     _SCAN_PROBES,
@@ -217,44 +216,19 @@ def _json_floats(values: Sequence[float]) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _items_text(terms, labels: dict) -> str:
-    """The (label, value) items of `terms` as the document lays them out,
-    each after the text that follows a value; `labels` holds the encoded
-    labels of every label tuple met so far in the document."""
+def _terms_text(terms, labels: dict) -> str:
+    """A report's "terms" list as the document lays it out, from its
+    `"terms": []` marker on; `labels` holds, for every label tuple met so
+    far in the document, each label encoded after a value's separator."""
     if not terms:
-        return ""
+        return _TERMS_MARKER
     names, values = zip(*terms)
     if names not in labels:
-        labels[names] = [_TERMS_BETWEEN + encode_basestring_ascii(name) + _TERM_MID
-                         for name in names]
+        labels[names] = [_TERMS_BETWEEN + encode_basestring_ascii(n) + _TERM_MID for n in names]
     items = [""] * (2 * len(names))
     items[::2], items[1::2] = labels[names], _json_floats(values)
-    return "".join(items)
-
-
-def _terms_text(terms, start: int, shared: str, labels: dict) -> str:
-    """A report's "terms" list as the document lays it out, from its
-    `"terms": []` marker on: its items before `start`, then `shared`, the
-    text of its items from `start` on."""
-    body = _items_text(terms[:start], labels) + shared
-    if not body:
-        return _TERMS_MARKER
-    return "".join((_TERMS_MARKER[:-1], _TERMS_FIRST, body[len(_TERMS_BETWEEN):],
+    return "".join((_TERMS_MARKER[:-1], _TERMS_FIRST, "".join(items)[len(_TERMS_BETWEEN):],
                     _TERMS_LAST, _TERMS_MARKER[-1]))
-
-
-def _shared_from(lists) -> int:
-    """Where the term lists start to hold the same objects as the first of
-    them, to the end; the longest length when they do not.  A T1
-    criterion's reports share one list (0), a T2 criterion's every term
-    after their four per-k sums (4)."""
-    first, size = lists[0], max(map(len, lists))
-    if any(len(terms) != size for terms in lists):
-        return size
-    start = next((at for at, term in enumerate(first)
-                  if all(terms[at] is term for terms in lists)), size)
-    same = all(all(map(is_, terms[start:], first[start:])) for terms in lists)
-    return start if same else size
 
 
 def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
@@ -267,9 +241,8 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     list, and each list is filled in from `_terms_layout`.  The skeleton
     splits at its `"terms": []` markers into one piece per report plus
     one: inside an encoded string every quote is escaped, so the marker
-    occurs at the reports' "terms" keys only.  The terms that every list
-    shares (`_shared_from`) are encoded once, and so is each list that
-    several reports share.
+    occurs at the reports' "terms" keys only.  A list that several reports
+    share (a T1 criterion's, at every k) is encoded once.
     """
     skeleton = json.dumps(
         {
@@ -282,11 +255,8 @@ def _reports_json(label: str, reports: Sequence[CriterionReport]) -> str:
     head, *tails = skeleton.split(_TERMS_MARKER)
     # each distinct term list by its identity, kept alive while the document is written
     lists = {id(r.terms): r.terms for r in reports}
-    texts, labels = {}, {}
-    if lists:
-        start = _shared_from([*lists.values()])
-        shared = _items_text(reports[0].terms[start:], labels)
-        texts = {key: _terms_text(terms, start, shared, labels) for key, terms in lists.items()}
+    labels = {}
+    texts = {key: _terms_text(terms, labels) for key, terms in lists.items()}
     parts = [head]
     for report, tail in zip(reports, tails, strict=True):
         parts += (texts[id(report.terms)], tail)
@@ -318,10 +288,7 @@ def cmd_table1(args) -> int:
 
 def cmd_fig1(args) -> int:
     rows = pq_boundary_scan(args.n, args.d, range(1, args.n), args.grid, probe=args.probe)
-    # the bisected weight names the star column, the other one the gridlines
-    names = list(W_PARAMS)
-    star = names.pop(_SCAN_PROBES[args.probe][1])
-    sys.stdout.write(boundary_scan_csv(rows, gridline_name=names[0], star_name=star + "_star"))
+    sys.stdout.write(boundary_scan_csv(rows, args.probe))
     return 0
 
 

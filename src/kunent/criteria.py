@@ -515,6 +515,8 @@ class Theorem2K1Evaluator(Theorem2Evaluator):
         return self.reports(traces, [k])[0]
 
     def _check(self, n: int, k) -> None:
+        if np.asarray(k).dtype.kind not in "iu":
+            _check_k(n, k)  # the integer rule of every criterion rejects it
         k = np.ravel(k)
         if np.any(k != 1):
             raise ValueError(f"the per-tuple variant is defined for k=1, got k={k[k != 1][0]}")

@@ -183,7 +183,7 @@ def ghz_noise_family(n: int) -> NoiseFamily:
 
 
 #: The weight names of `w_noise_family`, in signal order (W, then shifted W);
-#: `fig1` names its columns from them without building a family.
+#: `boundary_scan_csv` names its columns from them without building a family.
 W_PARAMS = ("p", "q")
 
 

@@ -38,7 +38,7 @@ from .criteria import (
     w_probe,
     w_tilde_probe,
 )
-from .states import NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
+from .states import W_PARAMS, NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
 from .tensor import WhiteNoise, _is_int, qudits
 
 __all__ = [
@@ -380,6 +380,13 @@ def ghz_threshold_table(n: int = 8) -> list[tuple[int, float, float | None]]:
 _SCAN_PROBES = {"w": (w_probe, 0), "wtilde": (w_tilde_probe, 1)}
 
 
+def _scan_probe(probe: str):
+    """The (site-probe preset, index of the bisected weight) of `probe`."""
+    if probe not in _SCAN_PROBES:
+        raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
+    return _SCAN_PROBES[probe]
+
+
 def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
                      probe: str = "w") -> list[BoundaryPoint]:
     """Detection boundary of the site-probe criterion over the (p, q) simplex,
@@ -393,14 +400,12 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
     ``star=None``.
     """
     qudits(n, d)  # the family's rules on n and d come first
-    if probe not in _SCAN_PROBES:
-        raise ValueError(f"probe must be 'w' or 'wtilde', got {probe!r}")
+    make_probe, axis = _scan_probe(probe)
     if not _is_int(grid) or grid < 1:
         raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
     ks = np.atleast_1d(k)
     _check_k(n, ks)
     family = w_noise_family(n, d)
-    make_probe, axis = _SCAN_PROBES[probe]
     fm = FamilyMargin(family, Theorem2Evaluator(*make_probe(family.dims)))
     # one bisection of every k's gridlines, one k per row, k-major
     g = np.tile(np.arange(grid + 1) / grid, ks.size)
@@ -416,9 +421,13 @@ def _fmt(x: float | None) -> str:
     return f"{x:.10g}"
 
 
-def boundary_scan_csv(rows: Sequence[BoundaryPoint], gridline_name: str = "q", star_name: str = "p_star") -> str:
-    """Deterministic CSV for boundary rows (10 significant digits)."""
-    lines = [f"k,{gridline_name},{star_name},margin_residual"]
+def boundary_scan_csv(rows: Sequence[BoundaryPoint], probe: str = "w") -> str:
+    """Deterministic CSV for the boundary rows of a `pq_boundary_scan` with
+    `probe` (10 significant digits): the bisected weight names the star
+    column, the other one the gridlines."""
+    names = list(W_PARAMS)
+    star = names.pop(_scan_probe(probe)[1])
+    lines = [f"k,{names[0]},{star}_star,margin_residual"]
     for r in rows:
         lines.append(f"{r.k},{_fmt(r.gridline)},{_fmt(r.star)},{_fmt(r.residual)}")
     return "\n".join(lines) + "\n"

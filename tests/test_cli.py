@@ -459,14 +459,13 @@ class TestOracleCheckCommand:
 
 class TestEvalWork:
     """An `eval` request evaluates its criterion once for every k it
-    reports, writes each distinct term list once, and encodes each term
-    object once: the terms that a T2 criterion's lists share as well."""
+    reports, and encodes each distinct term list once."""
 
     @staticmethod
     def count(monkeypatch):
         """{"evaluate": [k per call], "encode": [id of each list written],
-        "terms": [id of each term encoded], "reports": [reports written]},
-        counted as they happen."""
+        "terms": [id of each term encoded, per list], "reports": [reports
+        written]}, counted as they happen."""
         calls = {"evaluate": [], "encode": [], "terms": [], "reports": []}
         for cls in (Theorem1Evaluator, Theorem2Evaluator, Theorem2K1Evaluator):
             def counted(self, traces, k, inverse=None, _original=cls.__dict__["_evaluate"]):
@@ -474,22 +473,18 @@ class TestEvalWork:
                 return _original(self, traces, k, inverse)
 
             monkeypatch.setattr(cls, "_evaluate", counted)
-        terms_text, items_text, reports_json = cli._terms_text, cli._items_text, cli._reports_json
+        terms_text, reports_json = cli._terms_text, cli._reports_json
 
-        def counted_text(terms, *args):
+        def counted_text(terms, labels):
             calls["encode"].append(id(terms))
-            return terms_text(terms, *args)
-
-        def counted_items(terms, labels):
             calls["terms"] += map(id, terms)
-            return items_text(terms, labels)
+            return terms_text(terms, labels)
 
         def counted_json(label, reports):
             calls["reports"] += reports
             return reports_json(label, reports)
 
         monkeypatch.setattr(cli, "_terms_text", counted_text)
-        monkeypatch.setattr(cli, "_items_text", counted_items)
         monkeypatch.setattr(cli, "_reports_json", counted_json)
         return calls
 
@@ -497,8 +492,7 @@ class TestEvalWork:
         # T1: the reports at k = 1..5 share one term list
         (["--rho", "ghz:6:p=0.6"], 5, 1),
         (["--rho", "ghz:6:p=0.6", "--k", "3"], 1, 1),
-        # T2: each k has its own site sum among the terms, so its own list,
-        # but the lists share all 104 terms after their 4 sums
+        # T2: each k has its own site sum among the terms, so its own list
         (["--rho", "w:4:3:p=0.3,q=0.2", "--theorem", "2"], 3, 3),
         (["--rho", "ghz:4", "--theorem", "2", "--per-tuple"], 1, 1),
         (["--rho", "mixed:I/64", "--csv"], 5, 0),
@@ -511,13 +505,13 @@ class TestEvalWork:
         assert len(calls["evaluate"]) == 1
         assert np.size(calls["evaluate"][0]) == reports
         assert len(calls["encode"]) == len(set(calls["encode"])) == encodes
-        # every term object once, and nothing else
-        objects = {id(term) for r in calls["reports"] for term in r.terms}
-        assert len(calls["terms"]) == len(set(calls["terms"])) == len(objects)
+        # every distinct list's terms once, and nothing else
+        lists = {id(r.terms): r.terms for r in calls["reports"]}
+        assert calls["terms"] == [id(term) for terms in lists.values() for term in terms]
         if "--csv" not in argv:
             assert len(json.loads(out)["reports"]) == reports
         if argv[1].startswith("w:"):  # 3 lists of 108 terms
-            assert len(calls["terms"]) == 3 * 4 + 104
+            assert len(calls["terms"]) == 3 * 108
 
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys):

@@ -456,6 +456,7 @@ class TestKRange:
         for ev, point in (
             (Theorem1Evaluator(*ghz_probe(ghz_fam.dims)), ghz_fam.evaluate(0.35)),
             (Theorem2Evaluator(*w_probe(w_fam.dims)), w_fam.evaluate(0.5, 0.0)),
+            (Theorem2K1Evaluator(*w_probe(w_fam.dims)), w_fam.evaluate(0.5, 0.0)),
         ):
             with pytest.raises(ValueError, match="k must be an integer, got"):
                 ev.margins(ev.traces(point), k)

@@ -110,6 +110,10 @@ def test_shared_term_list_is_written_for_every_report():
     assert _reports_json("ghz:4", reps) == encoded("ghz:4", reps)
 
 
+def test_no_reports():
+    assert _reports_json("x", []) == encoded("x", [])
+
+
 def test_equal_but_distinct_term_lists():
     reps = [CriterionReport("T1", k, 0.1, 0.2, -0.1, False, _terms([0.5, 0.25]))
             for k in (1, 2)]
@@ -141,8 +145,8 @@ def test_shared_and_unshared_lists_of_one_length():
        tail=st.lists(st.tuples(texts, floats), max_size=5), signs=st.lists(st.booleans()))
 def test_shared_tails_match_json_dumps(label, heads, tail, signs):
     # lists that end in the same term objects, as a T2 criterion's reports
-    # do, have that tail encoded once; a tail rebuilt with 0.0 and -0.0
-    # swapped is equal to it but must be written as itself
+    # do; a tail rebuilt with 0.0 and -0.0 swapped is equal to it but must
+    # be written as itself
     tail = tuple(tail)
     flipped = tuple((name, -value if value == 0 else value) for name, value in tail)
     reps = [CriterionReport("T2", k, 0.0, 0.0, 0.0, False,
@@ -151,17 +155,28 @@ def test_shared_tails_match_json_dumps(label, heads, tail, signs):
     assert _reports_json(label, reps) == encoded(label, reps)
 
 
-def test_shared_from_finds_the_common_tail_by_identity():
+def test_shared_from_finds_the_common_tail_by_identity(monkeypatch):
+    # a list is shared by identity, never by equality: lists that only end in
+    # the same term objects, or equal lists rebuilt term by term, are each
+    # encoded whole
     tail = _terms([0.5, 0.0, float("nan")])
     lists = [_terms([float(k)], "sum") + tail for k in range(3)]
-    assert cli._shared_from(lists) == 1
-    assert cli._shared_from(lists[:1]) == 0
-    # equal is not enough: each rebuilt term is another object
-    assert cli._shared_from([lists[0], _terms([1.0], "sum") + _terms([0.5, 0.0, float("nan")])]) == 4
-    assert cli._shared_from([lists[0], lists[1][:-1]]) == 4
+    rebuilt = _terms([1.0], "sum") + _terms([0.5, 0.0, float("nan")])
     # the same objects but one, whose value is equal and written otherwise
     other = lists[1][:-2] + (("alpha={1}", -0.0),) + lists[1][-1:]
-    assert other == lists[1] and cli._shared_from([lists[0], other]) == 4
-    reps = [CriterionReport("T2", k, 0.0, 0.0, 0.0, False, terms)
-            for k, terms in enumerate((lists[0], other))]
-    assert _reports_json("x", reps) == encoded("x", reps)
+    assert other == lists[1]
+    encodes = []
+    terms_text = cli._terms_text
+
+    def counted(terms, labels):
+        encodes.append(id(terms))
+        return terms_text(terms, labels)
+
+    monkeypatch.setattr(cli, "_terms_text", counted)
+    for terms, written in (((*lists, lists[0]), 3), ((lists[0], lists[0]), 1),
+                           ((lists[1], rebuilt), 2), ((lists[0], other), 2),
+                           ((lists[1], other), 2)):
+        encodes.clear()
+        reps = [CriterionReport("T2", k, 0.0, 0.0, 0.0, False, t) for k, t in enumerate(terms)]
+        assert _reports_json("x", reps) == encoded("x", reps)
+        assert sorted(encodes) == sorted({id(t) for t in terms}) and len(encodes) == written

@@ -351,6 +351,15 @@ class TestBoundaryScan:
         text = boundary_scan_csv(rows)
         assert text.strip().split("\n")[1] == "1,1,none,none"
 
+    @pytest.mark.parametrize("probe,header", [("w", "k,q,p_star,margin_residual"),
+                                              ("wtilde", "k,p,q_star,margin_residual")])
+    def test_csv_header_names_the_bisected_weight(self, probe, header):
+        # a wtilde scan bisects q along p gridlines, as `fig1 --probe wtilde` prints
+        rows = pq_boundary_scan(4, 3, 2, grid=2, probe=probe)
+        assert boundary_scan_csv(rows, probe).split("\n", 1)[0] == header
+        with pytest.raises(ValueError, match=r"^probe must be 'w' or 'wtilde', got 'x'$"):
+            boundary_scan_csv(rows, "x")
+
 
 class TestScanWork:
     """Each threshold command bisects in as few batches as the scan allows."""
