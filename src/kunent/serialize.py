@@ -8,13 +8,12 @@ with ``entries`` the row-major entries of the (prod dims) x (prod dims)
 matrix.  Single-site factors use ``dims = [d]``.  A product operator file
 holds a JSON array of N such factor objects.
 
-`load_density_matrix` decodes a state file laid out as `save_density_matrix`
-writes it (exactly these two keys, ``dims`` first, any whitespace, the same
-text between every two entries) as one flat array of numbers, without a
-Python list per entry or a loop over the entries.  Every other text goes
-through `json` and `matrix_from_dict`, which also word every error, and
-gets the same bits.  A loaded state is a `DensityMatrix`, whose checks
-decide positivity (see there).
+`load_density_matrix` decodes the text `save_density_matrix` writes
+(`json.dumps` with its default separators, ``dims`` first) as one flat array
+of numbers, without a Python list per entry or a loop over the entries.
+Every other layout goes through `json` and `matrix_from_dict`, which also
+word every error, and gets the same bits.  A loaded state is a
+`DensityMatrix`, whose checks decide positivity (see there).
 """
 
 from __future__ import annotations
@@ -89,53 +88,35 @@ def matrix_from_dict(obj: Mapping) -> tuple[tuple[int, ...], np.ndarray]:
     return dims, flat.reshape(d, d)
 
 
-_WS = " \t\n\r"  # JSON's whitespace
-# the opening of a state file as `save_density_matrix` writes it, up to the entries' "["
-_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"dims"[ \t\n\r]*:[ \t\n\r]*(\[[^\[\]]*\])'
-                   r'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:[ \t\n\r]*\[')
-# deleting the characters of JSON numbers and whitespace leaves brackets and commas
-_SKELETON = str.maketrans("", "", "0123456789+-.eE" + _WS)
+# the opening of a state file as `save_density_matrix` writes it, up to the first pair's "["
+_HEAD = re.compile(r'\{"dims": (\[\d+(?:, \d+)*\]), "entries": \[(?=\[)')
+# deleting the characters of JSON numbers and spaces leaves brackets and commas
+_SKELETON = str.maketrans("", "", "0123456789+-.eE ")
 _UNBRACKET = str.maketrans("[]", "  ")
 _CHUNK = 1 << 18  # characters of text per json.loads call: each copy stays small
 
 
-def _last(text: str, char: str, stop: int) -> int:
-    """The index of `char` when only whitespace follows it up to `stop`, else -1."""
-    while stop and text[stop - 1] in _WS:
-        stop -= 1
-    return stop - 1 if stop and text[stop - 1] == char else -1
-
-
 def _flat_entries(text: str) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """The dims and matrix of a state file laid out as `save_density_matrix`
-    writes it, or None for any other text and whenever a check fails, so
-    that `json` and `matrix_from_dict` decide (and word) it.
+    """The dims and matrix of a state file as `save_density_matrix` writes
+    it, or None for any other text and whenever a check fails, so that
+    `json` and `matrix_from_dict` decide (and word) it.
 
     The entries' brackets and commas must be "[" + "[,],"*(n - 1) + "[,]]"
-    for n = prod(dims)^2, and the text between consecutive entries must be
-    one separator throughout, with no number in it or around the entries.
-    Then the inner brackets are turned into spaces and the text between
-    the outer ones is decoded as one JSON array, a chunk at a time, so
-    `json` still checks every number, and no full copy of the text is made.
+    for n = prod(dims)^2, with "], [" between every two entries.  Then the
+    inner brackets are turned into spaces and the text between the outer
+    ones is decoded as one JSON array, a chunk at a time, so `json` still
+    checks every number, and no full copy of the text is made.
     """
     head = _HEAD.match(text)
-    close = _last(text, "]", max(_last(text, "}", len(text)), 0))  # the entries' "]"
-    if head is None or close < head.end():
+    if head is None or not text.endswith("]]}"):
         return None
     dims = json.loads(head[1])
-    if not dims or any(type(x) is not int or x < 1 for x in dims):
+    # start: the first pair's "[", close: the entries' "]"
+    n, start, close = prod(dims) ** 2, head.end(), len(text) - 2
+    if min(dims) < 1 or 6 * n - 1 > close - start:  # shorter than n entries can be
         return None
-    n, start = prod(dims) ** 2, head.end()  # start: just after the entries' "["
-    if 6 * n - 1 > close - start:  # shorter than n entries can be
+    if text.count("], [", start, close) != n - 1:
         return None
-    first = text.index("[", start)
-    last = text.rindex("]", start, close)
-    if text[start:first].strip(_WS) or text[last + 1:close].strip(_WS):
-        return None
-    if n > 1:
-        sep = text[text.index("]", start):text.index("[", first + 1) + 1]
-        if sep[1:-1].strip(_WS) != "," or text.count(sep, start, close) != n - 1:
-            return None
     expected, at = "[,]," * n, 0  # the skeleton, one comma after each entry
     flat, filled = np.empty(2 * n), 0
     while start <= close:

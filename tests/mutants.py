@@ -1,4 +1,5 @@
-"""Mutation runner for the certificate path: do the tests catch a wrong rule?
+"""Mutation runner for the certificate path and the state-file decoder: do
+the tests catch a wrong rule?
 
 Each mutant replaces one text, which must occur exactly once, in one file
 of ``src/kunent``.  For each mutant in turn, ``src/``, ``tests/``,
@@ -80,6 +81,14 @@ MUTANTS = [
      "bisect = at_hi.detected & ~at_lo.detected",
      "bisect = (at_hi.margin > 0.0) & ~at_lo.detected",
      "a scan's far end counts as detected by the sign of its margin"),
+    ("serialize.py",
+     '    if text.count("], [", start, close) != n - 1:\n        return None\n',
+     "",
+     "the flat decoder takes any text between two entries"),
+    ("serialize.py",
+     "        if not expected.startswith(skeleton, at):\n            return None\n",
+     "",
+     "the flat decoder reads numbers without checking their brackets and commas"),
 ]
 
 

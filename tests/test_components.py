@@ -617,16 +617,33 @@ class TestBatchedBisection:
                 assert row.star == star and row.residual == residual
 
     def test_rows_with_no_root_and_root_at_lo(self):
-        # row 0 is never certified, row 1 is certified on the whole slice
+        # row 0 is never certified, row 1 is certified on the whole slice,
+        # row 2 is positive at hi but not certified there, so it has no root
         from kunent.criteria import Margins
 
         def f(t, rows):
-            margin = np.where(rows == 0, -1.0, 1.0 + t)
+            margin = np.select([rows == 0, rows == 1], [-1.0, 1.0 + t], t - 0.5)
+            return Margins(margin, margin, margin, margin > 0.6)
+
+        for convex in (False, True):
+            root, residual = _bisect_margin(f, np.zeros(3), np.ones(3), convex=convex)
+            assert np.isnan(root[0]) and residual[0] == -1.0
+            assert root[1] == 0.0 and residual[1] == 1.0
+            assert np.isnan(root[2]) and residual[2] == 0.5
+
+    def test_signs_against_convexity_fall_back_to_plain_bisection(self):
+        # declared convex, but a spike at 0.2, the first chord zero, makes
+        # f(u) > 0 >= f(u + step): the row must be bisected on [lo, hi]
+        from kunent.criteria import Margins
+
+        def f(t, rows):
+            margin = np.where(t < 0.7, -0.1, t - 0.6) + (np.abs(t - 0.2) < 1e-12)
             return Margins(margin, margin, margin, margin > 0.0)
 
-        root, residual = _bisect_margin(f, np.zeros(2), np.ones(2))
-        assert np.isnan(root[0]) and residual[0] == -1.0
-        assert root[1] == 0.0 and residual[1] == 1.0
+        (root,), (residual,) = _bisect_margin(f, np.zeros(1), np.ones(1), convex=True)
+        (want,), (want_residual,) = _bisect_margin(f, np.zeros(1), np.ones(1))
+        assert (root, residual) == (want, want_residual)
+        assert want == pytest.approx(0.7) and want_residual == -0.1
 
     @pytest.mark.parametrize("label,fm,slices", bisection_cases(),
                              ids=lambda v: v if isinstance(v, str) else "")

@@ -232,8 +232,7 @@ def test_load_matches_json_route(tmp_path, name):
     assert (outcome[0] == (2, 2)) == (name in VALID and name not in {"1E+05", "2**53 + 1"})
 
 
-@pytest.mark.parametrize("name", ["dumps", "indent", "compact", "crlf", "int and -0.0",
-                                  "1E+05", "2**53 + 1"])
+@pytest.mark.parametrize("name", ["dumps", "int and -0.0", "1E+05", "2**53 + 1"])
 def test_save_layout_takes_the_flat_route(name):
     # decoded as one flat array, to the bits of the json route's matrix
     dims, mat = _flat_entries(VALID[name])
@@ -242,7 +241,8 @@ def test_save_layout_takes_the_flat_route(name):
 
 
 @pytest.mark.parametrize("name", sorted(set(MALFORMED) - {"one site"})
-                         + ["keys swapped", "extra key", "uneven separators"])
+                         + ["indent", "compact", "crlf", "keys swapped", "extra key",
+                            "uneven separators"])
 def test_other_texts_take_the_json_route(name):
     text = {**VALID, **MALFORMED}[name]
     try:
@@ -262,7 +262,10 @@ def test_flat_route_decodes_json_floats_bit_for_bit(dims, data, indent):
     pairs = data.draw(st.lists(st.tuples(finite, finite), min_size=d * d, max_size=d * d))
     text = json.dumps({"dims": dims, "entries": [list(p) for p in pairs]}, indent=indent)
     got, want = _flat_entries(text), matrix_from_dict(json.loads(text))
-    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    if indent is None:  # the text save_density_matrix writes
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got is None
 
 
 @settings(max_examples=30, deadline=None)
