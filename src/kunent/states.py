@@ -137,14 +137,21 @@ class Mixture:
         return (*(psi for _, psi in self.signals), WhiteNoise(self.dims))
 
     def dense(self) -> DensityMatrix:
-        """The mixture as a D x D matrix.  Positivity follows from
-        convexity, so the PSD eigencheck is skipped."""
-        total_dim = self.dims.total_dim
-        mat = np.eye(total_dim, dtype=complex) * (self.weights[-1] / total_dim)
-        for w, (_, psi) in zip(self.weights, self.signals):
-            if w > 0.0:
-                mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return DensityMatrix(self.dims, mat, _check_psd=False)
+        """The mixture as a D x D matrix."""
+        return _dense_mixture(self.dims, self.weights, [psi.amplitudes for _, psi in self.signals])
+
+
+def _dense_mixture(dims: SiteDims, weights: np.ndarray, amplitudes) -> DensityMatrix:
+    """sum_i weights[i] |a_i><a_i| + weights[-1] I/D for normalized
+    amplitudes a_i and `component_weights` output.  Positivity follows from
+    convexity, so the PSD eigencheck is skipped; `DensityMatrix` still
+    checks finiteness, Hermiticity and the trace."""
+    total_dim = dims.total_dim
+    mat = np.eye(total_dim, dtype=complex) * (weights[-1] / total_dim)
+    for w, amp in zip(weights, amplitudes):
+        if w > 0.0:
+            mat += w * np.outer(amp, amp.conj())
+    return DensityMatrix(dims, mat, _check_psd=False)
 
 
 def mix(signals: Sequence[tuple[float, PureState]], dims: SiteDims) -> DensityMatrix:
@@ -250,7 +257,8 @@ def random_k_unentangled(
     """Seeded random state containing at least k unentangled particles: the
     mixture of `random_k_unentangled_terms` as a dense matrix."""
     weights, amplitudes = random_k_unentangled_terms(dims, k, terms, np.random.default_rng(seed))
-    return Mixture(dims, tuple((w, PureState(dims, a)) for w, a in zip(weights, amplitudes))).dense()
+    # the terms were normalised as they were drawn, so they skip PureState's checks
+    return _dense_mixture(dims, component_weights(weights), amplitudes)
 
 
 def random_product_operator(dims: SiteDims, rng: np.random.Generator) -> ProductOperator:

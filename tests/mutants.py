@@ -1,5 +1,5 @@
-"""Mutation runner for the certificate path and the state-file decoder: do
-the tests catch a wrong rule?
+"""Mutation runner for the certificate path, the state-file decoder and
+the dense pair-block sweep: do the tests catch a wrong rule?
 
 Each mutant replaces one text, which must occur exactly once, in one file
 of ``src/kunent``.  For each mutant in turn, ``src/``, ``tests/``,
@@ -89,6 +89,14 @@ MUTANTS = [
      "        if not expected.startswith(skeleton, at):\n            return None\n",
      "",
      "the flat decoder reads numbers without checking their brackets and commas"),
+    ("tensor.py",
+     "return blocks.take(_sweep_order(n), axis=0)",
+     "return blocks",
+     "the dense pair blocks come in the sweep's order, not np.triu_indices order"),
+    ("tensor.py",
+     "(b.T[:, None, :, None] * u[None, :, None, :])",
+     "(u[:, None, :, None] * b.T[None, :, None, :])",
+     "the dense sweep's suffix krons take the sites after j in decreasing order"),
 ]
 
 

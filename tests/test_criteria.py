@@ -574,7 +574,7 @@ def _factor_and_product(n, seed):
 # (n, seed, route) whose summed-T2 verdict moves when the probes are scaled
 # by 2^j: a false certificate from rounding, ROADMAP item 3
 _SCALE_MOVES = {(3, 5, "pure"), (3, 7, "pure"), (4, 5, "pure"), (4, 7, "dense"),
-                (4, 181, "dense"), (5, 5, "dense"), (5, 9, "dense"), (6, 9, "dense")}
+                (5, 9, "dense"), (6, 7, "dense")}
 
 
 class TestCertificateSoundness:
