@@ -29,7 +29,7 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import isfinite, log2
+from math import isfinite
 from os.path import commonprefix, isfile
 from typing import Sequence
 
@@ -112,7 +112,7 @@ def parse_state_spec(spec: str) -> tuple[str, DensityMatrix | Mixture]:
             if not rest.startswith("I/"):
                 raise InputError(f"mixed spec must look like mixed:I/256, got {spec!r}")
             total = int(rest[2:])
-            n = int(log2(total))
+            n = total.bit_length() - 1
             if 2**n != total:
                 raise InputError(
                     f"mixed:I/D currently supports qubit spaces (D a power of 2), got D={total}"

@@ -7,9 +7,9 @@ per-component bundles.  `FamilyMargin` computes those component bundles
 once, from the signals' amplitudes and analytically for white noise, and
 keeps only their distinct columns; a margin evaluation at any mixing
 weights is then a few array operations, and one call evaluates a whole
-batch of weights, each row at its own k, on the distinct columns (only
-`FamilyMargin.report` restores full fields).  Every threshold comes from one
-batched bisection (`_slice_thresholds`) over all k of a scan at once.
+batch of weights, each row at its own k, on the distinct columns.  Every
+threshold comes from one batched bisection (`_slice_thresholds`) over all k
+of a scan at once.
 
 The margin of the summed criteria (T1, and T2 for every k) is *convex*
 in the scanned weight, not affine: |affine| terms minus square roots of
@@ -24,7 +24,7 @@ what is and is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,10 +108,9 @@ class FamilyMargin:
     only each field's distinct columns (`np.unique`) are kept and mixed, by
     the bundle class's `combine`.  `margins` hands them to the criterion with
     each field's entry->column map, so its elementwise work runs once per
-    distinct value (`criteria._gather`); `report` alone restores the full
-    fields, since it lists every term.  The bits are those of mixing every
-    entry: np.unique merges columns that differ at most in the sign of a
-    zero, and the mix, from 0 + as `sum` does, turns every -0.0 into +0.0.
+    distinct value (`criteria._gather`).  The bits are those of mixing every
+    entry, as `report` does: np.unique merges columns equal up to the sign
+    of a zero, and the mix, from 0 + as `sum` does, turns -0.0 into +0.0.
     """
 
     def __init__(self, family: NoiseFamily, evaluator):
@@ -131,27 +130,21 @@ class FamilyMargin:
         kept = [getattr(bundles[0], name) for name in cls._kept]
         self._columns = [cls(*kept, *(c[i] for c in columns)) for i in range(len(bundles))]
 
-    def _mix(self, params):
-        """The mixed columns at one parameter row (n_signals,), or at each
-        row of a batch; the white-noise weight is 1 - sum(row)."""
+    def margins(self, params, k) -> Margins:
+        """Criterion values at one parameter row (n_signals,), or at each row
+        of a (B, n_signals) batch, at one k or at an int array of one k per
+        row; the white-noise weight is 1 - sum(row)."""
         params = np.asarray(params, dtype=float)
         n_signals = len(self.family.signals)
         if params.ndim == 0 or params.shape[-1] != n_signals:
             raise ValueError(f"family takes {n_signals} parameters, "
                              f"got {params.shape[-1:] or 'a scalar'}")
-        return self._combine(self._columns, component_weights(params))
-
-    def margins(self, params, k) -> Margins:
-        """Criterion values at one parameter row, or at each row of a
-        (B, n_signals) batch, at one k or at an int array of one k per row."""
-        return self.evaluator.margins(self._mix(params), k, self._inverse)
+        mixed = self._combine(self._columns, component_weights(params))
+        return self.evaluator.margins(mixed, k, self._inverse)
 
     def report(self, params: Sequence[float], k: int) -> CriterionReport:
-        mixed = self._mix(params)
-        return self.evaluator.report(replace(mixed, **{
-            name: getattr(mixed, name).take(inverse, axis=-1)
-            for name, inverse in self._inverse.items()
-        }), k)
+        """The evaluator's report of the family point, which lists every term."""
+        return self.evaluator.evaluate(self.family.evaluate(*params), k)
 
     def margin(self, params: Sequence[float], k: int) -> float:
         return float(self.margins(params, k).margin)

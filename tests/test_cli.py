@@ -107,8 +107,9 @@ class TestStateSpecs:
             parse_state_spec("bogus:1:2")
         with pytest.raises(InputError):
             parse_state_spec("ghz:3:p=oops")
-        with pytest.raises(InputError):
-            parse_state_spec("mixed:I/100")  # not a power of two
+        for total in ("100", "0", "-4"):  # not a power of two
+            with pytest.raises(InputError, match="D a power of 2"):
+                parse_state_spec(f"mixed:I/{total}")
 
 
 class TestEval:

@@ -362,6 +362,43 @@ class TestPairBlocks:
                 pair_blocks(rho, baseline)
 
 
+class TestOmegaStage:
+    """Theorem 2 splits at its pair blocks: the rho stage is one
+    `pair_blocks` call against x x^dag, and the omega stage builds the
+    bundle from the blocks alone, so blocks taken for one omega serve any
+    other omega with the same x."""
+
+    @pytest.mark.parametrize("dims", [(d,) * n for d in (2, 3) for n in range(3, 7)])
+    def test_blocks_of_one_omega_give_another_omegas_traces(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims) + 20)
+        dims = SiteDims(dims)
+        x = random_product_operator(dims, rng)
+        one, three = (Theorem2Evaluator(x, random_factors(dims.uniform(), t, rng)) for t in (1, 3))
+        for rho in (random_mixed_state(dims, rng, rank=2), random_ket(dims, rng), WhiteNoise(dims)):
+            for blocks_of, stage_of in ((one, three), (three, one)):
+                got = stage_of._omega_stage(pair_blocks(rho, blocks_of._baseline))
+                want = stage_of.traces(rho)
+                assert (got.n, got.n_omega) == (want.n, want.n_omega)
+                for name in FIELDS["T2"]:
+                    assert np.asarray(getattr(got, name)).tobytes() == \
+                        np.asarray(getattr(want, name)).tobytes(), name
+
+    @pytest.mark.parametrize("make", [lambda: ghz(12), lambda: w_state(6, 4)],
+                             ids=["ghz12", "w6-4"])
+    def test_pure_pair_block_stacks_within_byte_model(self, make):
+        # the model of the pure route's two stacks: 2 P D d complex entries
+        psi = make()
+        dims, n, d = psi.dims, psi.dims.n, psi.dims.uniform()
+        Theorem2Evaluator(*w_probe(dims)).traces(psi)  # fill the caches first
+        tracemalloc.start()
+        try:
+            Theorem2Evaluator(*w_probe(dims)).traces(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (n * (n - 1) // 2) * dims.total_dim * d * 16
+
+
 BITWISE_DIMS = [(2,) * n for n in range(3, 9)] + [(2, 3, 4), (3, 2, 2, 3), (4,) * 4]
 
 # SHA-256 of random_k_unentangled(dims, k, terms, seed).mat.tobytes(), as
