@@ -2,7 +2,9 @@
 
 Only usable at small dimension (per-copy cap 64): rho (x) rho and the
 doubled operators are assembled explicitly, so this is the slow reference
-path used to validate the factorized single-copy kernels in `criteria`.
+that referees the trace bundles the criteria read: every factorized value
+it compares is a field of `Theorem1Evaluator.traces` or
+`Theorem2Evaluator.traces`.
 
 The adopted factor-exchange reading of the permutations is implemented
 directly: the permutation is applied to the operator pair.  The rejected
@@ -22,14 +24,7 @@ import numpy as np
 from .config import ORACLE_DIM_CAP, ORACLE_TOL
 from .criteria import Theorem1Evaluator, Theorem2Evaluator, swap_on_subset
 from .states import random_k_unentangled_terms, random_mixed_state, random_product_operator
-from .tensor import (
-    DensityMatrix,
-    ProductOperator,
-    SiteDims,
-    assemble,
-    cross_trace,
-    sandwich_trace,
-)
+from .tensor import DensityMatrix, ProductOperator, SiteDims, _is_int, assemble
 
 __all__ = [
     "doubled_term",
@@ -127,49 +122,54 @@ class ProofChainReport:
         }
 
 
+def _check_trials(trials) -> None:
+    """A trial count: an integer >= 1, so that no check passes vacuously."""
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def factorization_check(trials: int = 50, seed: int = 0) -> dict:
-    """Compare doubled-space values against their factorized counterparts.
+    """Compare doubled-space values against the trace bundles the criteria
+    read (`Theorem1Evaluator.traces`, `Theorem2Evaluator.traces`).
 
     For each (N, d) shape, (2, 2), (2, 3) and (3, 2), runs `trials` random
     instances and records the worst relative deviation between:
 
     - the subset term Tr[(A^dag x B^dag) rho^(x2) (A x B)] and
-      Tr[rho A A^dag] Tr[rho B B^dag],
-    - the global left-hand side and |Tr[X^dag rho Y]|^2,
-    - the site-probe terms (substituted pair, and squared single sandwich)
-      and their factorized forms.
+      subset[mask] * subset[full ^ mask],
+    - the global left-hand side and |cross|^2,
+    - the site-probe terms (substituted pair, squared single sandwich and
+      cross) and base * pair, site^2 and |cross|^2.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
     for n, d in ((2, 2), (2, 3), (3, 2)):
         dims = SiteDims((d,) * n)
+        full = (1 << n) - 1
         for _ in range(trials):
             rho = random_mixed_state(dims, rng, rank=int(rng.integers(1, 4)))
             x = random_product_operator(dims, rng)
             y = random_product_operator(dims, rng)
             mask = int(rng.integers(0, 1 << n))
             alpha = {i + 1 for i in range(n) if mask >> i & 1}
-            a_op, b_op = swap_on_subset(x, y, alpha)
             # site-probe forms: one random (i, j, s, t) tuple per instance
-            omegas = [
-                rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            ]
-            tr = Theorem2Evaluator(x, omegas).traces(rho)
+            omegas = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
+            t1 = Theorem1Evaluator(x, y).traces(rho)
+            t2 = Theorem2Evaluator(x, omegas).traces(rho)
             i, j = (int(v) for v in rng.permutation(n)[:2])
             x_i = x.replace_factor(i + 1, omegas[0])
             x_j = x.replace_factor(j + 1, omegas[0])
-            x_ij = x_i.replace_factor(j + 1, omegas[0])
             # (literal doubled-space value, factorized value)
             for lit, fac in (
-                (doubled_term(rho, x, y, alpha),
-                 sandwich_trace(rho, a_op) * sandwich_trace(rho, b_op)),
-                (doubled_lhs(rho, x, y), abs(cross_trace(rho, x, y)) ** 2),
-                (doubled_term(rho, x_i, x_j, {i + 1}),
-                 sandwich_trace(rho, x) * sandwich_trace(rho, x_ij)),
-                (doubled_term(rho, x_i, x_i, set()),
-                 sandwich_trace(rho, x_i) ** 2),
-                (doubled_lhs(rho, x_i, x_j), abs(tr.cross[0, 0, i, j]) ** 2),
+                (doubled_term(rho, x, y, alpha), t1.subset[mask] * t1.subset[full ^ mask]),
+                (doubled_lhs(rho, x, y), abs(t1.cross) ** 2),
+                (doubled_term(rho, x_i, x_j, {i + 1}), t2.base * t2.pair[0, 0, i, j]),
+                (doubled_term(rho, x_i, x_i, set()), t2.site[0, i] ** 2),
+                (doubled_lhs(rho, x_i, x_j), abs(t2.cross[0, 0, i, j]) ** 2),
             ):
                 worst = max(worst, abs(lit - fac) / max(1.0, abs(fac)))
             count += 1
@@ -183,8 +183,6 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
 
 def oracle_check(trials: int = 50, seed: int = 0) -> dict:
     """Full oracle report: factorization equivalence plus proof chain."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     fact = factorization_check(trials, seed)
     chain = verify_proof_chain(max(trials, 50), seed + 1)
     return {
@@ -196,7 +194,7 @@ def oracle_check(trials: int = 50, seed: int = 0) -> dict:
 
 def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
     """Numerically check every chained inequality behind both criteria, on
-    three qubits.
+    three qubits, from the criteria's own trace bundles.
 
     Steps (rel-scaled slack must stay >= -ORACLE_TOL):
 
@@ -209,6 +207,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
       site-probe analogues (pure bound checked for k' = 1..k only: the
       criterion may rightly fire at k' > k)
     """
+    _check_trials(n_trials)
     dims = SiteDims((2, 2, 2))
     rng = np.random.default_rng(seed)
     report = ProofChainReport()
@@ -230,64 +229,38 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
         mixed = sum(w * m for w, m in zip(weights, mats))
         components = [DensityMatrix(dims, m, _check_psd=False) for m in mats]
         rho = DensityMatrix(dims, mixed, _check_psd=False)
-        pure = components[0]
 
         x = random_product_operator(dims, rng)
         y = random_product_operator(dims, rng)
+        omegas = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                  for _ in range(int(rng.integers(1, 3)))]
 
-        # --- subset-swap criterion chain ---
-        lhs_mixed = abs(cross_trace(rho, x, y))
-        triangle_rhs = sum(
-            w * abs(cross_trace(r, x, y)) for w, r in zip(weights, components)
-        )
-        report.step("t1-mixture-triangle").record(triangle_rhs - lhs_mixed, lhs_mixed, triangle_rhs)
+        # per criterion: the pure-bound ks, and the (a, b) pairs whose
+        # sqrt(a b) its rhs sums (T1: three subsets and their complements)
+        for name, ev, ks, pairs in (
+            ("t1", Theorem1Evaluator(x, y), [k],
+             lambda t: [(t.subset[m], t.subset[full ^ m]) for m in (1, full - 1, full >> 1)]),
+            ("t2", Theorem2Evaluator(x, omegas), range(1, k + 1), lambda t: [(t.base, t.pair)]),
+        ):
+            mixed_tr, *comp_tr = (ev.traces(r) for r in (rho, *components))
 
-        rep = Theorem1Evaluator(x, y).evaluate(pure, k)
-        report.step("t1-pure-bound").record(-rep.margin, rep.lhs * (2 ** (k + 1) - 2), rep.rhs)
+            lhs = float(np.sum(np.abs(mixed_tr.cross)))
+            tri = sum(w * float(np.sum(np.abs(t.cross))) for w, t in zip(weights, comp_tr))
+            report.step(f"{name}-mixture-triangle").record(tri - lhs, lhs, tri)
 
-        for mask in (1, full - 1, full >> 1):
-            alpha = {i + 1 for i in range(n) if mask >> i & 1}
-            a_op, b_op = swap_on_subset(x, y, alpha)
-            a_vals = [sandwich_trace(r, a_op) for r in components]
-            b_vals = [sandwich_trace(r, b_op) for r in components]
-            lhs_cs = sum(
-                w * np.sqrt(max(a, 0.0) * max(b, 0.0))
-                for w, a, b in zip(weights, a_vals, b_vals)
-            )
-            rhs_cs = np.sqrt(
-                max(sum(w * a for w, a in zip(weights, a_vals)), 0.0)
-                * max(sum(w * b for w, b in zip(weights, b_vals)), 0.0)
-            )
-            report.step("t1-cauchy-schwarz").record(rhs_cs - lhs_cs, lhs_cs, rhs_cs)
+            for rep in ev.reports(comp_tr[0], ks):
+                # the compared sides: scaled lhs (rhs + margin) and rhs
+                report.step(f"{name}-pure-bound").record(-rep.margin, rep.rhs + rep.margin, rep.rhs)
 
-        # --- site-probe criterion chain (equal local dims guaranteed here) ---
-        omegas = [
-            rng.standard_normal((dims.dims[0],) * 2)
-            + 1j * rng.standard_normal((dims.dims[0],) * 2)
-            for _ in range(int(rng.integers(1, 3)))
-        ]
-        ev = Theorem2Evaluator(x, omegas)
-        mixed_tr = ev.traces(rho)
-        comp_tr = [ev.traces(r) for r in components]
-
-        lhs_mixed2 = float(np.sum(np.abs(mixed_tr.cross)))
-        tri2 = sum(w * float(np.sum(np.abs(t.cross))) for w, t in zip(weights, comp_tr))
-        report.step("t2-mixture-triangle").record(tri2 - lhs_mixed2, lhs_mixed2, tri2)
-
-        pure_tr = comp_tr[0]
-        for rep2 in ev.reports(pure_tr, range(1, k + 1)):
-            report.step("t2-pure-bound").record(-rep2.margin, rep2.lhs, rep2.rhs)
-
-        lhs_cs2 = sum(
-            w * np.sqrt(max(t.base, 0.0) * np.maximum(t.pair, 0.0))
-            for w, t in zip(weights, comp_tr)
-        )
-        rhs_cs2 = np.sqrt(
-            max(sum(w * t.base for w, t in zip(weights, comp_tr)), 0.0)
-            * np.maximum(sum(w * t.pair for w, t in zip(weights, comp_tr)), 0.0)
-        )
-        report.step("t2-cauchy-schwarz").record(
-            float(np.min(rhs_cs2 - lhs_cs2)), float(np.max(lhs_cs2)), float(np.max(rhs_cs2))
-        )
+            for per_comp in zip(*map(pairs, comp_tr)):
+                lhs_cs = sum(
+                    w * np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
+                    for w, (a, b) in zip(weights, per_comp)
+                )
+                mixed_a, mixed_b = (sum(w * v[c] for w, v in zip(weights, per_comp)) for c in (0, 1))
+                rhs_cs = np.sqrt(np.maximum(mixed_a, 0.0) * np.maximum(mixed_b, 0.0))
+                report.step(f"{name}-cauchy-schwarz").record(
+                    float(np.min(rhs_cs - lhs_cs)), float(np.max(lhs_cs)), float(np.max(rhs_cs))
+                )
 
     return report

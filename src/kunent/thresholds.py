@@ -327,6 +327,13 @@ def bisection_threshold(
     return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
 
 
+def _check_at_least_2(**counts) -> None:
+    """Integers >= 2, with no dense cap: the closed forms serve any N."""
+    for name, value in counts.items():
+        if not _is_int(value) or value < 2:
+            raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+
+
 def ghz_noise_closed_form(n: int, k: int) -> float:
     """Exact detection threshold of the subset-swap criterion with the GHZ
     probe preset on rho(p) = p |GHZ_n><GHZ_n| + (1-p) I/2^n.
@@ -334,8 +341,7 @@ def ghz_noise_closed_form(n: int, k: int) -> float:
     The margin vanishes at (2^{k+1}-2) p/2 = (2^n-2)(1-p)/2^n, i.e.
     p = c / (2^k - 1 + c) with c = (2^n - 2)/2^n.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_at_least_2(n=n)
     _check_k(n, k)
     c = (2**n - 2) / 2**n
     return c / ((2**k - 1) + c)
@@ -347,10 +353,7 @@ def example2_closed_form(n: int, k: int, d: int) -> float:
 
         N(d-1)(2N-k-2) / (k d^N + N(d-1)(2N-k-2)).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    _check_at_least_2(n=n, d=d)
     _check_k(n, k)
     num = n * (d - 1) * (2 * n - k - 2)
     return num / (k * d**n + num)

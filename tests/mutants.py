@@ -1,5 +1,6 @@
-"""Mutation runner for the certificate path, the state-file decoder and
-the dense pair-block sweep: do the tests catch a wrong rule?
+"""Mutation runner for the certificate path, the state-file decoder, the
+dense pair-block sweep and the oracle's wiring: do the tests catch a wrong
+rule?
 
 Each mutant replaces one text, which must occur exactly once, in one file
 of ``src/kunent``.  For each mutant in turn, ``src/``, ``tests/``,
@@ -97,6 +98,10 @@ MUTANTS = [
      "(b.T[:, None, :, None] * u[None, :, None, :])",
      "(u[:, None, :, None] * b.T[None, :, None, :])",
      "the dense sweep's suffix krons take the sites after j in decreasing order"),
+    ("oracle.py",
+     "t1.subset[full ^ mask]",
+     "t1.subset[mask]",
+     "the factorization check pairs a subset with itself, not its complement"),
 ]
 
 

@@ -48,6 +48,7 @@ CASES = {
         "--x", "inputs/x_d8.json", "--omega", "inputs/omega1.json,inputs/omega2.json",
     ],
     "oracle_check_t5_s0.json": ["oracle-check", "--trials", "5", "--seed", "0"],
+    "oracle_check_t50_s7.json": ["oracle-check", "--trials", "50", "--seed", "7"],
 }
 
 

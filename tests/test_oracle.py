@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from kunent import (
     PureState,
     SiteDims,
     Theorem1Evaluator,
+    Theorem2Evaluator,
     assemble,
     cross_trace,
     doubled_lhs,
@@ -21,6 +24,7 @@ from kunent import (
     swap_on_subset,
     verify_proof_chain,
 )
+from kunent import criteria
 from kunent.oracle import ProofChainReport, factorization_check
 
 from conftest import random_mixed_state, random_product_operator, random_pure_product
@@ -208,3 +212,30 @@ class TestOracleCheck:
     def test_factorization_worst_error_tiny(self):
         result = factorization_check(trials=10, seed=3)
         assert result["worst_relative_error"] < 1e-10
+
+    @pytest.mark.parametrize("check", [factorization_check, verify_proof_chain, oracle_check])
+    def test_no_vacuous_pass(self, check):
+        # factorization_check(0) once passed with 0 trials, verify_proof_chain(-3)
+        # with no steps; oracle_check(True) ran
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+                check(trials)
+        for trials in (2.5, True):
+            with pytest.raises(ValueError, match=f"trials must be an integer, got {trials!r}"):
+                check(trials)
+
+    def test_referees_the_subset_sweep_the_criteria_read(self, monkeypatch):
+        sweep = criteria.subset_trace_sweep
+        monkeypatch.setattr(criteria, "subset_trace_sweep",
+                            lambda *args: sweep(*args) * (1 + 1e-6))
+        assert not factorization_check(5, 0)["passed"]
+
+    def test_referees_the_pair_traces_the_criteria_read(self, monkeypatch):
+        stage = Theorem2Evaluator._omega_stage
+
+        def scaled(self, blocks):
+            traces = stage(self, blocks)
+            return replace(traces, pair=traces.pair * (1 + 1e-6))
+
+        monkeypatch.setattr(Theorem2Evaluator, "_omega_stage", scaled)
+        assert not factorization_check(5, 0)["passed"]

@@ -62,6 +62,11 @@ class TestGhzClosedForm:
         for k in (True, False, 2.0):
             with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
                 ghz_noise_closed_form(4, k)
+        # ghz_noise_closed_form(3.5, 2) once returned 0.2153; no cap past the dense one
+        for n in (3.5, 4.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+                ghz_noise_closed_form(n, 2)
+        assert 0 < ghz_noise_closed_form(20, 2) < 1
 
 
 class TestExample2ClosedForm:
@@ -92,6 +97,12 @@ class TestExample2ClosedForm:
         for k in (True, False, 2.0):
             with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
                 example2_closed_form(4, k, 3)
+        # example2_closed_form(4, 2, 2.5) once returned 0.2350
+        for n, d, name in ((4.0, 3, "n"), (True, 3, "n"), (4, 2.5, "d"), (4, 3.0, "d")):
+            bad = n if name == "n" else d
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 2, got {bad!r}")):
+                example2_closed_form(n, 2, d)
+        assert 0 < example2_closed_form(20, 2, 2) < 1
 
     def test_k_range_is_the_criterions(self):
         # k = N is outside the range the site-probe criterion is defined on
