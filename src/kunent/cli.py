@@ -10,8 +10,8 @@ oracle-check  doubled-space equivalence and proof-chain report
 State specs accepted by ``--rho`` (see ``eval --help``):
 
     ghz:N[:p=V]          GHZ noise family (pure GHZ when p omitted)
-    w:N:d[:p=V,q=V]      W / shifted-W noise family
-    wtilde:N:d[:q=V]     shifted-W noise family slice
+    w:N:d[:p=V,q=V]      W / shifted-W noise family (p = 1, q = 0 by default)
+    wtilde:N:d[:p=V,q=V] the same family (p = 0, q = 1 by default)
     mixed:I/D            maximally mixed state on D = 2^n qubit levels
     path/to/state.json   density matrix in the JSON matrix schema
 

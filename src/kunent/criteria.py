@@ -303,6 +303,7 @@ class _Criterion:
 
     theorem: str
     dims: SiteDims
+    _shape: dict  # a bundle's kept fields (`_check_bundle`)
     degenerate: bool
     #: Whether the margin is convex along a line of mixing weights, as it
     #: is for the summed criteria; threshold scans narrow their bisection
@@ -325,6 +326,7 @@ class _Criterion:
 
     def margins(self, traces, k: int, inverse: dict | None = None) -> Margins:
         """`inverse`: each field's entry->column map (`_gather`); none for a plain bundle."""
+        self._check_bundle(traces)
         self._check(traces.n, k)
         return self._evaluate(traces, k, inverse)[0]
 
@@ -339,6 +341,7 @@ class _Criterion:
         the criteria depend on k through one scalar, so every term a
         report lists, and each side that does not depend on k, is computed
         once and shared by the reports."""
+        self._check_bundle(traces)
         checked = []
         for k in ks:
             self._check(traces.n, k)
@@ -354,6 +357,12 @@ class _Criterion:
             for k, lhs, rhs, margin, detected, terms
             in zip(checked, *sides, self._terms(traces, m, *parts))
         ]
+
+    def _check_bundle(self, traces) -> None:
+        """Reject a bundle whose kept fields (n, and T for T2) are not the evaluator's."""
+        theirs = {name: getattr(traces, name) for name in traces._kept}
+        if theirs != self._shape:
+            raise ValueError(f"bundle with {theirs} does not match the evaluator's {self._shape}")
 
     def _check(self, n: int, k) -> None:
         """Reject a k, or an int array of one k per row, that the criterion
@@ -376,6 +385,7 @@ class Theorem1Evaluator(_Criterion):
         self.x = x
         self.y = y
         self.dims = x.dims
+        self._shape = {"n": x.dims.n}
         self.degenerate = x.is_zero() or y.is_zero()
         # the probe side of every trace: per site the sweep's pair
         # (x x^dag, y y^dag), and y x^dag, the factor of Tr[X^dag rho Y]
@@ -425,6 +435,7 @@ class Theorem2Evaluator(_Criterion):
         self.omegas = tuple(_frozen_complex(w, (d, d), f"omega[{i}]") for i, w in enumerate(omegas))
         self.x = x
         self.dims = x.dims
+        self._shape = {"n": x.dims.n, "n_omega": len(self.omegas)}
         self.d = d
         self.degenerate = x.is_zero() or all(not w.any() for w in self.omegas)
         # the probe side of every trace: x_m x_m^dag, w_s w_s^dag and the factors

@@ -24,7 +24,7 @@ import numpy as np
 from .config import ORACLE_DIM_CAP, ORACLE_TOL
 from .criteria import Theorem1Evaluator, Theorem2Evaluator, swap_on_subset
 from .states import random_k_unentangled_terms, random_mixed_state, random_product_operator
-from .tensor import DensityMatrix, ProductOperator, SiteDims, _is_int, assemble
+from .tensor import DensityMatrix, ProductOperator, SiteDims, _check_count, assemble
 
 __all__ = [
     "doubled_term",
@@ -122,14 +122,6 @@ class ProofChainReport:
         }
 
 
-def _check_trials(trials) -> None:
-    """A trial count: an integer >= 1, so that no check passes vacuously."""
-    if not _is_int(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
 def factorization_check(trials: int = 50, seed: int = 0) -> dict:
     """Compare doubled-space values against the trace bundles the criteria
     read (`Theorem1Evaluator.traces`, `Theorem2Evaluator.traces`).
@@ -143,7 +135,7 @@ def factorization_check(trials: int = 50, seed: int = 0) -> dict:
     - the site-probe terms (substituted pair, squared single sandwich and
       cross) and base * pair, site^2 and |cross|^2.
     """
-    _check_trials(trials)
+    _check_count("trials", trials, 1)  # so that no check passes vacuously
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
@@ -207,7 +199,7 @@ def verify_proof_chain(n_trials: int = 100, seed: int = 0) -> ProofChainReport:
       site-probe analogues (pure bound checked for k' = 1..k only: the
       criterion may rightly fire at k' > k)
     """
-    _check_trials(n_trials)
+    _check_count("trials", n_trials, 1)
     dims = SiteDims((2, 2, 2))
     rng = np.random.default_rng(seed)
     report = ProofChainReport()

@@ -21,7 +21,7 @@ from .tensor import (
     PureState,
     SiteDims,
     WhiteNoise,
-    _is_int,
+    _check_count,
     qubits,
     qudits,
 )
@@ -67,8 +67,7 @@ def w_state(n: int, d: int) -> PureState:
 
 def shift_sigma(d: int) -> np.ndarray:
     """Cyclic level-shift matrix: |0> -> |1> -> ... -> |d-1> -> |0>."""
-    if d < 2:
-        raise ValueError(f"shift needs d >= 2, got {d}")
+    _check_count("d", d, 2)
     sigma = np.zeros((d, d), dtype=complex)
     for level in range(d):
         sigma[(level + 1) % d, level] = 1.0
@@ -210,10 +209,7 @@ def _check_k(n: int, k) -> None:
     or an integer array of them (the first bad one is named)."""
     if isinstance(k, np.ndarray) and k.dtype.kind in "iu":
         k = next(iter(k[(k < 1) | (k > n - 1)]), 1)
-    if not _is_int(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+    _check_count("k", k, 1, n - 1)
 
 
 def _random_blocks(n: int, k: int, rng: np.random.Generator) -> list[list[int]]:
@@ -240,8 +236,7 @@ def random_k_unentangled_terms(
     """Flat-simplex weights and the amplitudes of `terms` random pure states,
     each |a_1> x .. x |a_k> x |b> on an independently drawn partition
     (k uniform singletons + one (n-k)-site block), laid out in site order."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    _check_count("terms", terms, 1)
     weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.array([1.0])
     amplitudes = []
     for _ in weights:
@@ -270,6 +265,7 @@ def random_product_operator(dims: SiteDims, rng: np.random.Generator) -> Product
 
 def random_mixed_state(dims: SiteDims, rng: np.random.Generator, rank: int = 3) -> DensityMatrix:
     """m m^dag / Tr[m m^dag] for a complex Gaussian D x rank matrix m."""
+    _check_count("rank", rank, 1)
     d = dims.total_dim
     m = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = m @ m.conj().T

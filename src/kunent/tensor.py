@@ -87,6 +87,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, lo: int, hi: int | None = None) -> int:
+    """`value` as an int, if it is an integer (`_is_int`) in lo..hi, or >= lo
+    if `hi` is None: the one rule for every count, whose error names it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must satisfy {lo} <= {name} <= {hi}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SiteDims:
     """Local dimensions d_1..d_N of an N-partite system."""
@@ -94,12 +106,8 @@ class SiteDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(map(_is_int, self.dims)):
-            raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
-        dims = tuple(map(int, self.dims))
+        dims = tuple(_check_count(f"d_{i}", d, 2) for i, d in enumerate(self.dims, 1))
         object.__setattr__(self, "dims", dims)
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every local dimension must be >= 2, got {dims}")
         _check_site_count(len(dims), dims)
 
     @property
@@ -123,12 +131,11 @@ class SiteDims:
 
 
 def _check_site_count(n: int, dims: tuple[int, ...] = ()) -> None:
-    """Reject fewer than 2 sites, or n sites of dimensions `dims` whose
-    product is over the dense-matrix cap.  Every dimension is >= 2, so n
-    past cap.bit_length() is rejected before anything is multiplied."""
+    """Reject a site count n that is not an integer >= 2, or n sites of dims
+    `dims` whose product is over the dense-matrix cap.  Every dimension is
+    >= 2, so n past cap.bit_length() is rejected before anything is multiplied."""
+    _check_count("n", n, 2)
     cap = dim_cap()
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got {n}")
     if n > cap.bit_length() or prod(dims) > cap:
         raise ValueError(f"N={n} sites exceed the dense-matrix cap {cap} on the total dimension")
 
@@ -139,8 +146,8 @@ def qubits(n: int) -> SiteDims:
 
 
 def qudits(n: int, d: int) -> SiteDims:
-    """Shorthand for n sites of dimension d; an n below 2 or past the cap is
-    rejected before the n-tuple is built."""
+    """Shorthand for n sites of dimension d; an n that is not an integer,
+    below 2 or past the cap is rejected before the n-tuple is built."""
     _check_site_count(n)
     return SiteDims((d,) * n)
 

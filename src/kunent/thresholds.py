@@ -39,7 +39,7 @@ from .criteria import (
     w_tilde_probe,
 )
 from .states import W_PARAMS, NoiseFamily, _check_k, component_weights, ghz_noise_family, w_noise_family
-from .tensor import WhiteNoise, _is_int, qudits
+from .tensor import WhiteNoise, _check_count, qudits
 
 __all__ = [
     "ThresholdResult",
@@ -318,20 +318,12 @@ def bisection_threshold(
     n_params = len(family.signals)
     if len(fixed) != n_params - 1:
         raise ValueError(f"need {n_params - 1} fixed weights, got {len(fixed)}")
-    if not _is_int(axis) or not 0 <= axis < n_params:
-        raise ValueError(f"axis must be an integer in 0..{n_params - 1}, got {axis!r}")
+    _check_count("axis", axis, 0, n_params - 1)
     component_weights(fixed)  # finite, nonnegative, summing to at most 1
     rows = np.asarray(fixed, dtype=float).reshape(1, -1)
     (root,), (residual,) = _slice_thresholds(FamilyMargin(family, evaluator), k, rows, axis)
     p_star = None if np.isnan(root) else float(root)
     return ThresholdResult(k=k, p_star=p_star, residual=float(residual))
-
-
-def _check_at_least_2(**counts) -> None:
-    """Integers >= 2, with no dense cap: the closed forms serve any N."""
-    for name, value in counts.items():
-        if not _is_int(value) or value < 2:
-            raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
 
 def ghz_noise_closed_form(n: int, k: int) -> float:
@@ -341,7 +333,7 @@ def ghz_noise_closed_form(n: int, k: int) -> float:
     The margin vanishes at (2^{k+1}-2) p/2 = (2^n-2)(1-p)/2^n, i.e.
     p = c / (2^k - 1 + c) with c = (2^n - 2)/2^n.
     """
-    _check_at_least_2(n=n)
+    _check_count("n", n, 2)  # with no dense cap: the closed forms serve any N
     _check_k(n, k)
     c = (2**n - 2) / 2**n
     return c / ((2**k - 1) + c)
@@ -353,7 +345,8 @@ def example2_closed_form(n: int, k: int, d: int) -> float:
 
         N(d-1)(2N-k-2) / (k d^N + N(d-1)(2N-k-2)).
     """
-    _check_at_least_2(n=n, d=d)
+    _check_count("n", n, 2)
+    _check_count("d", d, 2)
     _check_k(n, k)
     num = n * (d - 1) * (2 * n - k - 2)
     return num / (k * d**n + num)
@@ -397,8 +390,7 @@ def pq_boundary_scan(n: int, d: int, k: int | Sequence[int], grid: int,
     """
     qudits(n, d)  # the family's rules on n and d come first
     make_probe, axis = _scan_probe(probe)
-    if not _is_int(grid) or grid < 1:
-        raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
+    _check_count("grid", grid, 1)
     ks = np.atleast_1d(k)
     _check_k(n, ks)
     family = w_noise_family(n, d)

@@ -1,6 +1,6 @@
 """Mutation runner for the certificate path, the state-file decoder, the
-dense pair-block sweep and the oracle's wiring: do the tests catch a wrong
-rule?
+dense pair-block sweep, the oracle's wiring and the count rules: do the
+tests catch a wrong rule?
 
 Each mutant replaces one text, which must occur exactly once, in one file
 of ``src/kunent``.  For each mutant in turn, ``src/``, ``tests/``,
@@ -102,6 +102,14 @@ MUTANTS = [
      "t1.subset[full ^ mask]",
      "t1.subset[mask]",
      "the factorization check pairs a subset with itself, not its complement"),
+    ("tensor.py",
+     "    if not _is_int(value):\n",
+     "    if not isinstance(value, (int, np.integer)):\n",
+     "a count may be a bool: True counts as 1"),
+    ("states.py",
+     '_check_count("k", k, 1, n - 1)',
+     '_check_count("k", k, 1, n)',
+     "k = N passes the k rule"),
 ]
 
 

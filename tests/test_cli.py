@@ -277,14 +277,16 @@ class TestEval:
         assert code == 2 and out == ""
         assert message in err
 
-    @pytest.mark.parametrize("argv,count", [
-        (["eval", "--rho", "ghz:-2"], -2), (["eval", "--rho", "w:-1:3"], -1),
-        (["table1", "--n", "-3"], -3),
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--rho", "ghz:-2"], "cannot parse state spec 'ghz:-2': n must be >= 2, got -2"),
+        (["eval", "--rho", "ghz:1"], "cannot parse state spec 'ghz:1': n must be >= 2, got 1"),
+        (["eval", "--rho", "w:-1:3"], "cannot parse state spec 'w:-1:3': n must be >= 2, got -1"),
+        (["table1", "--n", "-3"], "n must be >= 2, got -3"),
     ])
-    def test_too_few_sites_named_exit_2(self, capsys, argv, count):
+    def test_too_few_sites_named_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"need at least 2 sites, got {count}" in err
+        assert err == f"error: {message}\n"
 
     def test_state_and_probe_dims_named_exit_2(self, capsys, tmp_path):
         x_path = tmp_path / "x.json"
@@ -440,7 +442,7 @@ class TestFig1:
         # the family's own site-count rule, as `table1` and `eval` report it
         code, out, err = run_cli(capsys, "fig1", *argv)
         assert code == 2 and out == ""
-        assert f"need at least 2 sites, got {argv[1]}" in err
+        assert err == f"error: n must be >= 2, got {argv[1]}\n"
 
 
 class TestOracleCheckCommand:

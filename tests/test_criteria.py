@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -431,6 +432,38 @@ class TestTheorem2K1:
         rep = Theorem2K1Evaluator(x, om).evaluate(rho, 1)
         per_tuple = [v for label, v in rep.terms if label.startswith("margin[")]
         assert rep.margin == pytest.approx(max(per_tuple))
+
+
+class TestBundleShape:
+    """A criterion reads only bundles of its own shape: the n of its probes,
+    and for T2 the number T of its omega operators."""
+
+    @pytest.mark.parametrize("call", ["report", "margins"])
+    def test_t1_refuses_a_bundle_of_other_sites(self, call):
+        # the 4-site bundle once gave a k = 3 report of 14 terms with the
+        # rounding allowance of the 3-site D = 8
+        t4 = Theorem1Evaluator(*ghz_probe(qubits(4))).traces(ghz_noise_family(4).evaluate(1.0))
+        ev = Theorem1Evaluator(*ghz_probe(qubits(3)))
+        message = "bundle with {'n': 4} does not match the evaluator's {'n': 3}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(ev, call)(t4, 2)
+
+    @pytest.mark.parametrize("cls", [Theorem2Evaluator, Theorem2K1Evaluator])
+    @pytest.mark.parametrize("call", ["report", "margins"])
+    def test_t2_refuses_a_bundle_of_other_omegas(self, cls, call):
+        x, omegas = w_probe(qudits(3, 3))
+        assert len(omegas) == 2
+        t = cls(x, omegas).traces(w_state(3, 3))
+        message = ("bundle with {'n': 3, 'n_omega': 2} does not match the evaluator's "
+                   "{'n': 3, 'n_omega': 1}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(cls(x, omegas[:1]), call)(t, 1)
+
+    def test_t2_refuses_a_t1_bundle(self):
+        dims = qubits(3)
+        t1 = Theorem1Evaluator(*ghz_probe(dims)).traces(WhiteNoise(dims))
+        with pytest.raises(ValueError, match=re.escape("bundle with {'n': 3} does not match")):
+            Theorem2Evaluator(*w_probe(dims)).report(t1, 1)
 
 
 class TestKRange:

@@ -109,7 +109,7 @@ class TestShiftSigma:
         assert_allclose(np.linalg.matrix_power(sigma, 4), np.eye(4))
 
     def test_rejects_d_below_2(self):
-        with pytest.raises(ValueError, match=r"^shift needs d >= 2, got 1$"):
+        with pytest.raises(ValueError, match=r"^d must be >= 2, got 1$"):
             shift_sigma(1)
 
 

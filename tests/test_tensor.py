@@ -40,11 +40,11 @@ class TestSiteDims:
         assert dims.total_dim == 24
 
     def test_rejects_single_site(self):
-        with pytest.raises(ValueError, match="at least 2 sites"):
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
             SiteDims((4,))
 
     def test_rejects_trivial_dimension(self):
-        with pytest.raises(ValueError, match=">= 2"):
+        with pytest.raises(ValueError, match="d_2 must be >= 2, got 1"):
             SiteDims((2, 1, 2))
 
     def test_rejects_over_cap(self):
@@ -61,7 +61,7 @@ class TestSiteDims:
 
     @pytest.mark.parametrize("n", [1, 0, -2])
     def test_site_count_named_before_tuple_is_built(self, n):
-        with pytest.raises(ValueError, match=f"need at least 2 sites, got {n}$"):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}$"):
             qudits(n, 3)
 
     @pytest.mark.parametrize("raw,message", [("abc", "must be an integer, got 'abc'"),
@@ -77,13 +77,18 @@ class TestSiteDims:
             SiteDims((2, 2, 2, 2, 2))
         SiteDims((2, 2, 2, 2))  # exactly at the cap
 
-    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2), (np.float64(3), 3), (2, True)])
-    def test_rejects_non_integer_dimension(self, dims):
-        with pytest.raises(ValueError, match="local dimensions must be integers"):
+    @pytest.mark.parametrize("dims,message", [
+        ((2.7, 2), "d_1 must be an integer, got 2.7"), ((2.0, 2), "d_1 must be an integer, got 2.0"),
+        (("2", 2), "d_1 must be an integer, got '2'"),
+        ((np.float64(3), 3), f"d_1 must be an integer, got {np.float64(3)!r}"),
+        ((2, True), "d_2 must be an integer, got True"),
+    ])
+    def test_rejects_non_integer_dimension(self, dims, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SiteDims(dims)
 
     def test_qudits_rejects_non_integer_dimension(self):
-        with pytest.raises(ValueError, match="local dimensions must be integers"):
+        with pytest.raises(ValueError, match="d_1 must be an integer, got 2.5"):
             qudits(3, 2.5)
 
     def test_numpy_integers_become_int(self):

@@ -64,8 +64,10 @@ class TestGhzClosedForm:
                 ghz_noise_closed_form(4, k)
         # ghz_noise_closed_form(3.5, 2) once returned 0.2153; no cap past the dense one
         for n in (3.5, 4.0, True):
-            with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
                 ghz_noise_closed_form(n, 2)
+        with pytest.raises(ValueError, match=re.escape("n must be >= 2, got 1")):
+            ghz_noise_closed_form(1, 1)
         assert 0 < ghz_noise_closed_form(20, 2) < 1
 
 
@@ -100,8 +102,11 @@ class TestExample2ClosedForm:
         # example2_closed_form(4, 2, 2.5) once returned 0.2350
         for n, d, name in ((4.0, 3, "n"), (True, 3, "n"), (4, 2.5, "d"), (4, 3.0, "d")):
             bad = n if name == "n" else d
-            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 2, got {bad!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
                 example2_closed_form(n, 2, d)
+        for n, d, name in ((1, 3, "n"), (4, 1, "d")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 2, got 1")):
+                example2_closed_form(n, 1, d)
         assert 0 < example2_closed_form(20, 2, 2) < 1
 
     def test_k_range_is_the_criterions(self):
@@ -159,11 +164,15 @@ class TestBisection:
         with pytest.raises(ValueError, match="fixed"):
             bisection_threshold(fam, ev, 1)
 
-    @pytest.mark.parametrize("axis", [1.0, True, False, 2, -1])
-    def test_axis_must_be_an_integer_in_range(self, axis):
+    @pytest.mark.parametrize("axis,message", [
+        (1.0, "axis must be an integer, got 1.0"), (True, "axis must be an integer, got True"),
+        (False, "axis must be an integer, got False"),
+        (2, "axis must satisfy 0 <= axis <= 1, got 2"), (-1, "axis must satisfy 0 <= axis <= 1, got -1"),
+    ])
+    def test_axis_must_be_an_integer_in_range(self, axis, message):
         fam = w_noise_family(3, 2)
         ev = Theorem2Evaluator(*w_probe(fam.dims))
-        with pytest.raises(ValueError, match=re.escape(f"axis must be an integer in 0..1, got {axis!r}")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             bisection_threshold(fam, ev, 1, fixed=(0.1,), axis=axis)
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.1])
@@ -324,13 +333,16 @@ class TestBoundaryScan:
             assert (got.k, got.gridline, got.star) == (want.k, want.gridline, want.star)
             assert np.array_equal(got.residual, want.residual, equal_nan=True)
 
-    @pytest.mark.parametrize("grid", [2.5, True, 0, np.float64(3.0)])
-    def test_grid_must_be_a_positive_integer(self, grid, monkeypatch):
+    @pytest.mark.parametrize("grid,message", [
+        (2.5, "grid must be an integer, got 2.5"), (True, "grid must be an integer, got True"),
+        (0, "grid must be >= 1, got 0"), (np.float64(3.0), f"grid must be an integer, got {np.float64(3.0)!r}"),
+    ])
+    def test_grid_must_be_a_positive_integer(self, grid, message, monkeypatch):
         # checked before the family is built
         import kunent.thresholds as th
 
         monkeypatch.setattr(th, "w_noise_family", None)
-        with pytest.raises(ValueError, match=re.escape(f"grid must be an integer >= 1, got {grid!r}")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             pq_boundary_scan(4, 2, 1, grid)
 
     @pytest.mark.parametrize("k,message", [([1, 1.5], r"integer, got array\(\[1. , 1.5\]\)"),
